@@ -1,4 +1,9 @@
-"""Brute-force infimum of the probe over the integer (d1, d2) grid.
+"""Exhaustive infimum of the probe over the integer (d1, d2) grid.
+
+Exhaustive means every cell is either evaluated or certified above the
+minimum by a lower bound on its 16 x 16 block, with a margin of twice the
+incomplete beta's absolute error, so the result matches evaluating every
+cell bit for bit.
 
 The minimum moves with kappa: just above 1 it runs to the corner of the
 grid (both caps binding), around kappa ~ 3 it prefers d1 = 1 with a large

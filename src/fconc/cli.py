@@ -19,7 +19,9 @@ are kappa,inf_value,d1,d2,limit_min,limit_argmin_a,flags (flags joined with
                                  strict kappa-monotonicity of the probe
 
 Exit codes: 0 success, 1 verification/assertion failure, 2 usage error,
-3 numerical convergence failure.
+3 numerical convergence failure. A --workers (or config ``workers``) below
+1 is a usage error; a convergence failure inside a pool worker still exits
+with 3.
 """
 
 from __future__ import annotations
@@ -201,6 +203,8 @@ def _resolve_settings(args):
     workers = getattr(args, "workers", None)
     if workers is None:
         workers = file_vals.get("workers")
+    if workers is not None and workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
     return config, grid, workers
 
 

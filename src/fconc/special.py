@@ -8,8 +8,12 @@ like numpy ufuncs; scalar inputs return plain floats.
 Accuracy targets (double precision):
   * ``ln_gamma``        relative error <= 1e-13 on [0.5, 1e6]
   * ``beta``            relative error <= 1e-12
-  * ``reg_inc_beta``    absolute error <= 1e-12 for a, b up to ~2000
-  * ``reg_lower_gamma`` absolute error <= 1e-12 for a up to ~2000
+  * ``reg_inc_beta``    absolute error <= 1e-12 (REG_INC_BETA_ABS_ERR) for
+                        a, b up to ~2000
+  * ``reg_lower_gamma`` absolute error <= 1e-12 for a up to 500 and
+                        <= 1e-11 up to a = 1e4 (the end of the default
+                        limit-curve grid); the error peaks near x = a, where
+                        the log prefactor cancels, and grows with a
 
 All evaluation is pure: results depend only on the arguments and the
 (immutable) EvalConfig, so every function is safe to call from multiple
@@ -33,6 +37,10 @@ __all__ = [
     "reg_inc_beta",
     "reg_lower_gamma",
 ]
+
+# Documented absolute error of reg_inc_beta; the grid search's pruning
+# margin is built on it, and tests check it against mpmath.
+REG_INC_BETA_ABS_ERR = 1e-12
 
 # Lentz guard against vanishing denominators (Numerical Recipes FPMIN).
 _TINY = 1e-300
@@ -66,6 +74,11 @@ class ConvergenceError(ArithmeticError):
         super().__init__(message)
         self.iterations = iterations
         self.args_at_failure = args_at_failure
+
+    def __reduce__(self):
+        # the default reduction replays only the message, so a worker's
+        # failure would not unpickle in the parent process
+        return type(self), (self.args[0], self.iterations, self.args_at_failure)
 
 
 @dataclass(frozen=True)

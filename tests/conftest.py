@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+
+# kappas of the reference table plus two below 1
+PROBE_KAPPAS = (0.5, 0.9, 1.0, 1.00005, 1.001, 1.005, 1.05, 1.5, 3.0, 3.005, 3.05, math.pi, 4.0, 6.0, 8.0, 16.0)
 
 
 @pytest.fixture

@@ -202,6 +202,16 @@ class TestConfigFile:
         assert p.returncode == 3
         assert "convergence failure" in p.stderr
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_nonpositive_workers_usage_error(self, tmp_path, workers):
+        cfg = tmp_path / "workers.cfg"
+        cfg.write_text(f"workers={workers}\n")
+        caps = ("inf", "--kappa", "1.5", "--d1-max", "5", "--d2-max", "5", "--a-max", "5")
+        for extra in (("--workers", workers), ("--config", str(cfg))):
+            p = run_cli(*caps, *extra)
+            assert p.returncode == 2
+            assert "workers must be >= 1" in p.stderr
+
     def test_missing_config_usage_error(self):
         p = run_cli("prob", "--d1", "2", "--d2", "4", "--config", "/nonexistent.cfg")
         assert p.returncode == 2

@@ -1,9 +1,13 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fconc import (
+    ConvergenceError,
     FParams,
     GridSpec,
     conjecture_probe,
@@ -15,7 +19,11 @@ from fconc import (
     prob_leq_kappa_mean,
     reg_inc_beta,
 )
+from fconc import probe
 from fconc.probe import FLAG_CONJECTURE_REGIME, FLAG_EXACT_INF_NOT_ATTAINED
+from fconc.special import DEFAULT_CONFIG, REG_INC_BETA_ABS_ERR
+
+from conftest import PROBE_KAPPAS
 
 
 class TestGridSpec:
@@ -75,6 +83,68 @@ class TestGridInfimum:
     def test_kappa_validation(self):
         with pytest.raises(ValueError):
             grid_infimum(-1.0, GridSpec(5, 5))
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.9, 1.0, 1.00005, 1.05, 1.5, 3.005, 16.0, 1e15])
+    def test_pruned_search_matches_full_grid(self, kappa):
+        # oracle: every cell of the capped grid in one call, then the
+        # row-major argmin; 1e15 saturates every cell to 1.0 (all ties)
+        grid = GridSpec(300, 400)
+        d1, d2 = np.meshgrid(
+            np.arange(1, grid.d1_max + 1), np.arange(3, grid.d2_max + 1), indexing="ij"
+        )
+        a, b = d1 / 2.0, d2 / 2.0
+        ka = kappa * a
+        vals = reg_inc_beta(ka / (ka + (b - 1.0)), a, b)
+
+        def first_min(rows):
+            i = int(np.argmin(vals[rows]))
+            return float(vals[rows].flat[i]), int(d1[rows].flat[i]), int(d2[rows].flat[i])
+
+        for workers in (None, 2):
+            res = grid_infimum(kappa, grid, workers=workers)
+            assert (res.grid_min, res.argmin_d1, res.argmin_d2) == first_min(slice(None))
+        # the grid argmin lies on the seed's row or column, so also hold each
+        # stripe to its own minimum as incumbent: the block holding that cell
+        # may not be pruned, wherever it lies
+        for lo in range(0, grid.d1_max, 128):
+            rows = slice(lo, min(lo + 128, grid.d1_max))
+            expected = first_min(rows)
+            job = (lo + 1, rows.stop, grid.d2_max, kappa, expected[0], DEFAULT_CONFIG)
+            assert probe._scan_stripe(job) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kappa=st.one_of(st.sampled_from(PROBE_KAPPAS), st.floats(0.5, 4.0), st.floats(4.0, 20.0)),
+        d1_lo=st.integers(1, 1984),
+        d2_lo=st.integers(3, 1984),
+        rows=st.integers(1, 16),
+        cols=st.integers(1, 16),
+    )
+    def test_block_bound_below_every_cell(self, kappa, d1_lo, d2_lo, rows, cols):
+        a = np.arange(d1_lo, d1_lo + rows)[:, None] / 2.0
+        b = np.arange(d2_lo, d2_lo + cols)[None, :] / 2.0
+        bound = probe._block_bound(kappa, a[0, 0], a[-1, 0], b[0, 0], b[0, -1], DEFAULT_CONFIG)
+        cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
+        assert bound <= cells.min() + REG_INC_BETA_ABS_ERR
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched kernel reaches pool workers only when they are forked",
+    )
+    def test_worker_convergence_error_reaches_caller(self, monkeypatch):
+        parent = os.getpid()
+        kernel = probe.reg_inc_beta
+
+        def fail_in_worker(x, a, b, config):
+            if os.getpid() != parent:
+                raise ConvergenceError("forced failure", 7, (0.5, 1.0, 2.0))
+            return kernel(x, a, b, config)
+
+        monkeypatch.setattr(probe, "reg_inc_beta", fail_in_worker)
+        with pytest.raises(ConvergenceError) as err:
+            grid_infimum(1.5, GridSpec(300, 40), workers=2)
+        assert err.value.iterations == 7
+        assert err.value.args_at_failure == (0.5, 1.0, 2.0)
 
 
 class TestLimitCurve:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from fconc import (
     reg_lower_gamma,
 )
 
-from conftest import seeded_triples
+from fconc.special import REG_INC_BETA_ABS_ERR
+
+from conftest import PROBE_KAPPAS, seeded_triples
 
 
 class TestEvalConfig:
@@ -172,6 +175,38 @@ class TestRegIncBeta:
             reg_lower_gamma(10000.0, 10000.0, cfg)
         assert err.value.iterations == 100
 
+    def test_convergence_error_pickle_round_trip(self):
+        # process-pool workers send their exceptions to the parent pickled
+        exc = ConvergenceError("cf stalled", 2000, (0.25, 1.5, 999.5))
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is ConvergenceError
+        assert str(back) == "cf stalled"
+        assert back.iterations == 2000
+        assert back.args_at_failure == (0.25, 1.5, 999.5)
+
+    def test_absolute_error_against_mpmath(self, rng):
+        # the grid search's pruning margin rests on this bound, over the
+        # cells it evaluates (x = q(a, b)) and the block bounds it forms
+        # (x = q(a_lo, b_hi) at shapes (a_hi, b_lo)); half-integer shapes
+        # in [0.5, 999.5]
+        mpmath = pytest.importorskip("mpmath")
+        n = 150
+        kappa = rng.choice(PROBE_KAPPAS, 2 * n)
+        a_hi = rng.integers(1, 2000, 2 * n) / 2.0
+        b_lo = rng.integers(3, 2000, 2 * n) / 2.0
+        # first half cells (zero offsets), second half block corners
+        da = np.where(np.arange(2 * n) < n, 0, rng.integers(0, 16, 2 * n)) / 2.0
+        db = np.where(np.arange(2 * n) < n, 0, rng.integers(0, 16, 2 * n)) / 2.0
+        a_lo = np.maximum(a_hi - da, 0.5)
+        b_hi = np.minimum(b_lo + db, 999.5)
+        ka = kappa * a_lo
+        x = ka / (ka + (b_hi - 1.0))
+        got = reg_inc_beta(x, a_hi, b_lo)
+        with mpmath.workdps(40):
+            for xi, ai, bi, gi in zip(x, a_hi, b_lo, got):
+                ref = mpmath.betainc(ai, bi, 0, xi, regularized=True)
+                assert abs(float(ref - gi)) <= REG_INC_BETA_ABS_ERR, (xi, ai, bi)
+
 
 class TestRegLowerGamma:
     def test_exponential_special_case(self):
@@ -193,6 +228,19 @@ class TestRegLowerGamma:
             vals = reg_lower_gamma(np.full_like(xs, ai), xs)
             assert (np.diff(vals) >= -1e-13).all()
             assert ((0.0 <= vals) & (vals <= 1.0)).all()
+
+    def test_absolute_error_against_mpmath(self, rng):
+        # the module docstring's claims near x = a, where the log prefactor
+        # cancels most: 1e-12 up to a = 500, 1e-11 up to a = 1e4
+        mpmath = pytest.importorskip("mpmath")
+        a = np.concatenate([rng.integers(1, 1001, 150) / 2.0, np.geomspace(1000.0, 10000.0, 61)[1:]])
+        x = rng.uniform(0.95, 1.05, a.size) * a
+        tol = np.where(a <= 500.0, 1e-12, 1e-11)
+        got = reg_lower_gamma(a, x)
+        with mpmath.workdps(40):
+            for ai, xi, gi, ti in zip(a, x, got, tol):
+                ref = mpmath.gammainc(ai, 0, xi, regularized=True)
+                assert abs(float(ref - gi)) <= ti, (ai, xi)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
