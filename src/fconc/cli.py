@@ -30,18 +30,11 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .probe import (
-    DEFAULT_GRID,
-    GridSpec,
-    ProbeResult,
-    default_a_grid,
-    grid_infimum,
-    infimum,
-    limit_curve_min,
-)
+from .probe import DEFAULT_GRID, GridSpec, ProbeResult, conjecture_probe, default_a_grid, infimum
 from .special import ConvergenceError, EvalConfig
 from .verify import DEFAULT_SEED, run_suite
 
@@ -97,10 +90,9 @@ def _round15(v) -> float:
     return float(_fmt15(v))
 
 
-def _record(result: ProbeResult, extra_flags=()) -> dict:
+def _record(result: ProbeResult) -> dict:
     # inf_value is the grid minimum (it belongs to the d1/d2 argmin columns);
     # min(inf_value, limit_min) recovers the combined estimate
-    flags = list(result.flags) + [f for f in extra_flags if f not in result.flags]
     return {
         "kappa": result.kappa,
         "inf_value": result.grid_min,
@@ -108,7 +100,7 @@ def _record(result: ProbeResult, extra_flags=()) -> dict:
         "d2": result.argmin_d2,
         "limit_min": result.limit_min,
         "limit_argmin_a": result.limit_argmin_a,
-        "flags": flags,
+        "flags": list(result.flags),
     }
 
 
@@ -208,41 +200,19 @@ def _resolve_settings(args):
     return config, grid, workers
 
 
-def _a_grid_for(args):
-    a_max = getattr(args, "a_max", None)
-    if a_max is None:
-        return default_a_grid()
-    a_max = float(a_max)
-    if a_max < 0.5:
-        raise UsageError("--a-max must be >= 0.5")
-    head_top = min(a_max, 1000.0)
-    head = np.arange(1, int(head_top * 2) + 1, dtype=np.float64) / 2.0
-    if a_max > 1000.0:
-        tail = np.geomspace(1000.0, a_max, 61)[1:]
-        return np.concatenate([head, tail])
-    return head
-
-
 def cmd_table(args) -> int:
     config, grid, workers = _resolve_settings(args)
-    a_grid = default_a_grid()
     records = []
     rows = []
     for kappa, ref_val, ref_d1, ref_d2 in REFERENCE_TABLE:
-        res = grid_infimum(kappa, grid, config, workers)
-        lmin, larg = limit_curve_min(kappa, a_grid, config)
-        res = ProbeResult(
-            kappa=res.kappa,
-            grid_min=res.grid_min,
-            argmin_d1=res.argmin_d1,
-            argmin_d2=res.argmin_d2,
-            grid=grid,
-            limit_min=lmin,
-            limit_argmin_a=larg,
+        flagged = kappa in INCONSISTENT_KAPPAS
+        # every table kappa is above 1; the rows carry only the reference
+        # flag, not the regime flag infimum attaches
+        res = replace(
+            infimum(kappa, grid, None, config, workers),
+            flags=(FLAG_PAPER_ROW_INCONSISTENT,) if flagged else (),
         )
-        flagged = any(kappa == bad for bad in INCONSISTENT_KAPPAS)
-        extra = (FLAG_PAPER_ROW_INCONSISTENT,) if flagged else ()
-        records.append(_record(res, extra))
+        records.append(_record(res))
         rows.append((kappa, res, ref_val, ref_d1, ref_d2, flagged))
 
     if args.format == "csv":
@@ -277,22 +247,12 @@ def cmd_inf(args) -> int:
     config, grid, workers = _resolve_settings(args)
     if args.kappa <= 0 or not math.isfinite(args.kappa):
         raise UsageError("--kappa must be a positive real")
-    a_grid = _a_grid_for(args)
-    res = infimum(args.kappa, grid, a_grid, config, workers)
-
-    diagnostic = None
-    if res.kappa > 1.0:
-        if res.grid_min <= 0.5:
-            where = ("grid", res.argmin_d1, res.argmin_d2, res.grid_min)
-        elif res.limit_min is not None and res.limit_min <= 0.5:
-            where = ("limit", res.limit_argmin_a, res.limit_min)
-        else:
-            where = None
-        if where is not None:
-            diagnostic = (
-                f"COUNTEREXAMPLE: probe value <= 1/2 at {where} contradicts "
-                "the proven lower bound; this signals a numerics bug"
-            )
+    try:
+        a_grid = default_a_grid(args.a_max)
+    except ValueError as exc:
+        raise UsageError(f"--a-max: {exc}") from exc
+    report = conjecture_probe(args.kappa, grid, a_grid, config, workers) if args.kappa > 1.0 else None
+    res = report.result if report else infimum(args.kappa, grid, a_grid, config, workers)
 
     if args.format == "csv":
         _emit(_records_csv([_record(res)]), args.out)
@@ -312,14 +272,17 @@ def cmd_inf(args) -> int:
                 f"exact infimum         {res.exact_inf:g} (not attained at finite parameters)"
             )
         else:
-            margin = res.combined_inf_estimate - 0.5
             lines.append(
-                f"kappa > 1 regime      conjectured infimum > 1/2; observed margin {margin:.6g}"
+                f"kappa > 1 regime      conjectured infimum > 1/2; observed margin {report.margin:.6g}"
             )
         _emit("\n".join(lines) + "\n", args.out)
 
-    if diagnostic is not None:
-        print(diagnostic, file=sys.stderr)
+    if report and report.falsified:
+        print(
+            f"COUNTEREXAMPLE: probe value <= 1/2 at {report.counterexample} contradicts "
+            "the proven lower bound; this signals a numerics bug",
+            file=sys.stderr,
+        )
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -405,15 +368,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, caps=True, io=True, workers=True):
-        p.add_argument("--config", help="key=value file overriding tolerances and caps")
+    def add_common(p, caps=True, out=True, formats=("text", "csv", "json"), workers=True):
+        p.add_argument(
+            "--config",
+            help="key=value file overriding tolerances" + (" and caps" if caps else ""),
+        )
         if caps:
             p.add_argument("--d1-max", type=int, help="d1 search cap (default 1999)")
             p.add_argument("--d2-max", type=int, help="d2 search cap (default 1999)")
-        if io:
+        if out:
             p.add_argument("--out", help="output path (default stdout)")
+        if formats:
             p.add_argument(
-                "--format", choices=("text", "csv", "json"), default="text",
+                "--format", choices=formats, default="text",
                 help="output format (default text)",
             )
         if workers:
@@ -425,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inf = sub.add_parser("inf", help="infimum probe at one kappa")
     p_inf.add_argument("--kappa", type=float, required=True)
-    p_inf.add_argument("--a-max", type=float, help="end of the limit-curve a grid (default 1e4)")
+    p_inf.add_argument("--a-max", type=float, default=1e4, help="end of the limit-curve a grid (default 1e4)")
     add_common(p_inf)
     p_inf.set_defaults(func=cmd_inf)
 
@@ -433,26 +400,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_prob.add_argument("--d1", type=int, required=True)
     p_prob.add_argument("--d2", type=int, required=True)
     p_prob.add_argument("--kappa", type=float, default=1.0)
-    p_prob.add_argument("--config", help="key=value file overriding tolerances")
+    add_common(p_prob, caps=False, out=False, formats=(), workers=False)
     p_prob.set_defaults(func=cmd_prob)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep of probes over a kappa range")
     p_sweep.add_argument("--kappa-from", type=float, required=True)
     p_sweep.add_argument("--kappa-to", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--config", help="key=value file overriding tolerances and caps")
-    p_sweep.add_argument("--d1-max", type=int)
-    p_sweep.add_argument("--d2-max", type=int)
-    p_sweep.add_argument("--out", help="output CSV path (default stdout)")
-    p_sweep.add_argument("--workers", type=int)
+    add_common(p_sweep, formats=())
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--profile", choices=("quick", "full"), default="quick")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--config", help="key=value file overriding tolerances")
-    p_verify.add_argument("--out", help="output path (default stdout)")
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
+    add_common(p_verify, caps=False, formats=("text", "json"), workers=False)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

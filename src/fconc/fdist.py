@@ -5,6 +5,12 @@ The integer-facing type is :class:`FParams` (degrees of freedom d1, d2);
 all the beta-function math runs on :class:`ShapePair` (a, b) = (d1/2, d2/2).
 The shape-pair functions accept arbitrary reals with a >= 1/2, b > 1, which
 the lemma tests use for dense b-grids.
+
+The probe has one kernel, ``_probe``: I_q(a, b) with q formed by
+``_threshold`` as ka / (ka + (b - 1)). Every probe value in the package --
+the grid scan, ``prob_leq_kappa_mean`` and the verification checks -- goes
+through it, so all of them round q the same way and agree bit for bit on a
+cell.
 """
 
 from __future__ import annotations
@@ -77,15 +83,28 @@ def cdf(x, p: FParams, config=DEFAULT_CONFIG):
     return reg_inc_beta(t, p.d1 / 2.0, p.d2 / 2.0, config)
 
 
+def _threshold(kappa, a, b):
+    """q = ka/(ka+b-1), the incomplete-beta argument of the probe at shapes (a, b).
+
+    b - 1 is exact for half-integer b, so only ka + (b - 1) and the quotient
+    round. Scalars or broadcasting arrays; kappa is not validated.
+    """
+    ka = kappa * a
+    return ka / (ka + (b - 1.0))
+
+
+def _probe(kappa, a, b, config):
+    """I_q(a, b) with q = _threshold(kappa, a, b): the probe at shapes (a, b)."""
+    return reg_inc_beta(_threshold(kappa, a, b), a, b, config)
+
+
 def threshold(s: ShapePair, kappa) -> float:
     """q(a, b, kappa) = kappa*a / (kappa*a + b - 1), strictly increasing in kappa.
 
     This is the incomplete-beta argument matching the point kappa * E[X]
     under the F CDF.
     """
-    k = _check_kappa(kappa)
-    ka = k * s.a
-    return ka / (ka + s.b - 1.0)
+    return _threshold(_check_kappa(kappa), s.a, s.b)
 
 
 def prob_leq_kappa_mean(p: FParams, kappa, config=DEFAULT_CONFIG) -> float:
@@ -93,7 +112,8 @@ def prob_leq_kappa_mean(p: FParams, kappa, config=DEFAULT_CONFIG) -> float:
 
     Formed through the threshold identity q = kappa*a/(kappa*a + b - 1)
     rather than through the CDF argument, which avoids cancellation for
-    large d2; agreement with the cdf path is covered by tests.
+    large d2; agreement with the cdf path is covered by tests. The value is
+    the grid scan's for the same cell, bit for bit.
     """
     s = p.shape()
-    return reg_inc_beta(threshold(s, kappa), s.a, s.b, config)
+    return _probe(_check_kappa(kappa), s.a, s.b, config)

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .fdist import _check_kappa
+from .fdist import _check_kappa, _probe, _threshold
 from .special import (
     DEFAULT_CONFIG,
     REG_INC_BETA_ABS_ERR,
@@ -135,11 +135,6 @@ class ConjectureReport:
     counterexample: Optional[tuple] = None
 
 
-def _threshold(kappa, a, b):
-    """q = ka/(ka+b-1), the incomplete-beta argument of the probe at shapes (a, b)."""
-    return kappa * a / (kappa * a + (b - 1.0))
-
-
 def _block_bound(kappa, a_lo, a_hi, b_lo, b_hi, config):
     """Lower bound of the probe over each block [a_lo, a_hi] x [b_lo, b_hi].
 
@@ -152,7 +147,7 @@ def _block_bound(kappa, a_lo, a_hi, b_lo, b_hi, config):
 
 def _min_cell(kappa, a, b, config):
     """(value, d1, d2) of the first smallest probe value over flat shape arrays."""
-    vals = reg_inc_beta(_threshold(kappa, a, b), a, b, config)
+    vals = _probe(kappa, a, b, config)
     i = int(np.argmin(vals))
     # halves of integers are exact doubles, so 2a and 2b recover the cell
     return float(vals[i]), int(2.0 * a[i]), int(2.0 * b[i])
@@ -258,28 +253,30 @@ def limit_curve_min(kappa, a_grid, config: EvalConfig = DEFAULT_CONFIG):
 
     Returns (min value, argmin a); ties resolve to the smallest a.
     """
-    k = _check_kappa(kappa)
     grid = np.asarray(a_grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("a_grid must be nonempty")
-    if (grid <= 0.0).any():
-        raise ValueError("a_grid values must be positive")
     if (np.diff(grid) <= 0.0).any():
         raise ValueError("a_grid must be strictly ascending")
-    vals = reg_lower_gamma(grid, k * grid, config)
+    vals = limit_b(grid, kappa, config)
     i = int(np.argmin(vals))  # first occurrence: smallest a on ties
     return float(vals[i]), float(grid[i])
 
 
-def default_a_grid() -> np.ndarray:
-    """Half-integer a up to 1000 plus a log-spaced tail to 1e4.
+def default_a_grid(a_max=1e4) -> np.ndarray:
+    """Half-integer a up to min(a_max, 1000), then a 60-point log-spaced tail
+    from 1000 to a_max when a_max > 1000.
 
     The tail documents the a -> infinity trend of the limit curve without
-    claiming the infimum is attained there.
+    claiming the infimum is attained there. a_max must be finite and >= 0.5.
     """
-    head = np.arange(1, 2001, dtype=np.float64) / 2.0
-    tail = np.geomspace(1000.0, 10000.0, 61)[1:]
-    return np.concatenate([head, tail])
+    a_max = float(a_max)
+    if not (0.5 <= a_max < math.inf):
+        raise ValueError(f"a_max must be finite and >= 0.5, got {a_max}")
+    head = np.arange(1, int(min(a_max, 1000.0) * 2) + 1, dtype=np.float64) / 2.0
+    if a_max <= 1000.0:
+        return head
+    return np.concatenate([head, np.geomspace(1000.0, a_max, 61)[1:]])
 
 
 def infimum(kappa, grid: GridSpec = DEFAULT_GRID, a_grid=None,
@@ -305,17 +302,7 @@ def infimum(kappa, grid: GridSpec = DEFAULT_GRID, a_grid=None,
     else:
         exact, flags = None, (FLAG_CONJECTURE_REGIME,)
 
-    return ProbeResult(
-        kappa=k,
-        grid_min=gres.grid_min,
-        argmin_d1=gres.argmin_d1,
-        argmin_d2=gres.argmin_d2,
-        grid=grid,
-        limit_min=lmin,
-        limit_argmin_a=larg,
-        exact_inf=exact,
-        flags=flags,
-    )
+    return replace(gres, limit_min=lmin, limit_argmin_a=larg, exact_inf=exact, flags=flags)
 
 
 def conjecture_probe(kappa, grid: GridSpec = DEFAULT_GRID, a_grid=None,

@@ -196,15 +196,7 @@ def ln_beta(a, b):
     (aa, bb), shape, scalar = _prepare(a, b)
     if not (np.isfinite(aa).all() and np.isfinite(bb).all()) or (aa <= 0.0).any() or (bb <= 0.0).any():
         raise ValueError("ln_beta requires finite a > 0 and b > 0")
-    out = np.empty_like(aa)
-    main = (aa >= 0.5) & (bb >= 0.5)
-    if main.any():
-        out[main] = _ln_beta_raw(aa[main], bb[main])
-    rest = ~main
-    if rest.any():
-        ar, br = aa[rest], bb[rest]
-        out[rest] = _ln_gamma_raw(ar) + _ln_gamma_raw(br) - _ln_gamma_raw(ar + br)
-    return _finish(out, shape, scalar)
+    return _finish(_ln_beta_any(aa, bb), shape, scalar)
 
 
 def beta(a, b):

@@ -23,8 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fdist import FParams, prob_leq_kappa_mean
-from .special import DEFAULT_CONFIG, ConvergenceError, EvalConfig, ln_beta, reg_inc_beta, reg_lower_gamma
+from .fdist import FParams, _probe, prob_leq_kappa_mean
+from .probe import limit_b
+from .special import DEFAULT_CONFIG, ConvergenceError, EvalConfig, ln_beta, reg_inc_beta
 
 __all__ = [
     "QuadratureError",
@@ -237,10 +238,7 @@ def check_monotone_b(kappa, d1_list: Sequence[int], d2_range, tol_strict: float 
     first_violation = None
     n = 0
     for d1 in d1_list:
-        a = d1 / 2.0
-        b = d2s / 2.0
-        q = kappa * a / (kappa * a + b - 1.0)
-        vals = reg_inc_beta(q, np.full_like(b, a), b, config)
+        vals = _probe(kappa, d1 / 2.0, d2s / 2.0, config)
         diffs = np.diff(vals)
         n += diffs.size
         j = int(np.argmax(diffs))
@@ -280,9 +278,8 @@ def check_limit(a_list, kappa_list, b_ladder, final_tol: float = 1e-3,
     pairs = 0
     for a in a_list:
         for kappa in kappa_list:
-            q = kappa * a / (kappa * a + ladder - 1.0)
-            vals = reg_inc_beta(q, np.full_like(ladder, a), ladder, config)
-            lim = reg_lower_gamma(a, kappa * a, config)
+            vals = _probe(kappa, a, ladder, config)
+            lim = limit_b(a, kappa, config)
             resid = np.abs(vals - lim)
             pairs += 1
             if (np.diff(resid) >= 0.0).any() and violation is None:

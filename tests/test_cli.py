@@ -59,6 +59,12 @@ class TestInf:
         p = run_cli("inf", "--kappa", "0")
         assert p.returncode == 2
 
+    @pytest.mark.parametrize("a_max", ["nan", "inf", "0.3"])
+    def test_usage_error_on_bad_a_max(self, a_max):
+        p = run_cli("inf", "--kappa", "2", "--d1-max", "5", "--d2-max", "5", "--a-max", a_max)
+        assert p.returncode == 2
+        assert "--a-max" in p.stderr and "Traceback" not in p.stderr
+
 
 class TestTable:
     def test_csv_contains_all_rows_and_flag(self):

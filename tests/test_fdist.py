@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fconc import FParams, ShapePair, cdf, mean, prob_leq_kappa_mean, threshold
+from fconc import FParams, ShapePair, cdf, mean, prob_leq_kappa_mean, probe, threshold
+from fconc.special import DEFAULT_CONFIG
 
 
 class TestParams:
@@ -127,3 +128,10 @@ class TestProbe:
             for d1 in (1, 3):
                 vals = [prob_leq_kappa_mean(FParams(d1, d2), kappa) for d2 in range(3, 61)]
                 assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))
+
+    # cells where rounding q as (ka + b) - 1 instead of ka + (b - 1) moved
+    # the value by an ulp or more
+    @pytest.mark.parametrize("d1, d2, kappa", [(1727, 235, 1.05), (1799, 161, 1.05), (737, 288, 1.001)])
+    def test_equals_grid_kernel_bitwise(self, d1, d2, kappa):
+        cell, _, _ = probe._min_cell(kappa, np.array([d1 / 2.0]), np.array([d2 / 2.0]), DEFAULT_CONFIG)
+        assert prob_leq_kappa_mean(FParams(d1, d2), kappa) == cell
