@@ -20,8 +20,9 @@ are kappa,inf_value,d1,d2,limit_min,limit_argmin_a,flags (flags joined with
 
 Exit codes: 0 success, 1 verification/assertion failure, 2 usage error,
 3 numerical convergence failure. A --workers (or config ``workers``) below
-1 is a usage error; a convergence failure inside a pool worker still exits
-with 3.
+1 is a usage error, and so is a kappa whose product with the largest shape
+the command forms is not finite; a convergence failure inside a pool
+worker still exits with 3.
 """
 
 from __future__ import annotations
@@ -200,6 +201,16 @@ def _resolve_settings(args):
     return config, grid, workers
 
 
+def _check_kappa_arg(flag, kappa, *shapes):
+    """UsageError unless kappa is finite and positive and kappa times the
+    largest of the shapes the command forms is finite."""
+    shape_max = float(max(shapes))
+    if not (0.0 < kappa < math.inf and math.isfinite(kappa * shape_max)):
+        raise UsageError(
+            f"{flag} must be a positive real with {flag} * {shape_max:g} finite, got {kappa:g}"
+        )
+
+
 def cmd_table(args) -> int:
     config, grid, workers = _resolve_settings(args)
     records = []
@@ -245,12 +256,11 @@ def cmd_table(args) -> int:
 
 def cmd_inf(args) -> int:
     config, grid, workers = _resolve_settings(args)
-    if args.kappa <= 0 or not math.isfinite(args.kappa):
-        raise UsageError("--kappa must be a positive real")
     try:
         a_grid = default_a_grid(args.a_max)
     except ValueError as exc:
         raise UsageError(f"--a-max: {exc}") from exc
+    _check_kappa_arg("--kappa", args.kappa, grid.d1_max / 2.0, a_grid[-1])
     report = conjecture_probe(args.kappa, grid, a_grid, config, workers) if args.kappa > 1.0 else None
     res = report.result if report else infimum(args.kappa, grid, a_grid, config, workers)
 
@@ -297,8 +307,7 @@ def cmd_prob(args) -> int:
         )
     if args.d1 < 1:
         raise UsageError("--d1 must be >= 1")
-    if args.kappa <= 0 or not math.isfinite(args.kappa):
-        raise UsageError("--kappa must be a positive real")
+    _check_kappa_arg("--kappa", args.kappa, args.d1 / 2.0)
     p = FParams(args.d1, args.d2)
     s = p.shape()
     q = threshold(s, args.kappa)
@@ -315,9 +324,11 @@ def cmd_sweep(args) -> int:
     config, grid, workers = _resolve_settings(args)
     if args.steps < 2:
         raise UsageError("--steps must be >= 2")
-    if not (0.0 < args.kappa_from < args.kappa_to) or not math.isfinite(args.kappa_to):
-        raise UsageError("need 0 < --kappa-from < --kappa-to, both finite")
     a_grid = default_a_grid()
+    _check_kappa_arg("--kappa-from", args.kappa_from, grid.d1_max / 2.0, a_grid[-1])
+    _check_kappa_arg("--kappa-to", args.kappa_to, grid.d1_max / 2.0, a_grid[-1])
+    if not args.kappa_from < args.kappa_to:
+        raise UsageError("need --kappa-from < --kappa-to")
     kappas = np.linspace(args.kappa_from, args.kappa_to, args.steps)
     records = []
     values = []

@@ -146,8 +146,20 @@ def _block_bound(kappa, a_lo, a_hi, b_lo, b_hi, config):
 
 
 def _min_cell(kappa, a, b, config):
-    """(value, d1, d2) of the first smallest probe value over flat shape arrays."""
-    vals = _probe(kappa, a, b, config)
+    """(value, d1, d2) of the first smallest probe value over flat shape arrays.
+
+    A ConvergenceError is re-raised naming the failing cell.
+    """
+    try:
+        vals = _probe(kappa, a, b, config)
+    except ConvergenceError as exc:
+        _, fa, fb = exc.args_at_failure
+        raise ConvergenceError(
+            f"grid scan at kappa={kappa!r}: convergence failure at "
+            f"(d1, d2) = ({int(2.0 * fa)}, {int(2.0 * fb)})",
+            exc.iterations,
+            exc.args_at_failure,
+        ) from exc
     i = int(np.argmin(vals))
     # halves of integers are exact doubles, so 2a and 2b recover the cell
     return float(vals[i]), int(2.0 * a[i]), int(2.0 * b[i])
@@ -176,23 +188,7 @@ def _scan_stripe(args):
     if not live.any():
         return math.inf, 0, 0
     a_cells, b_cells = np.broadcast_arrays(a[:, None], b[None, :])
-    try:
-        return _min_cell(kappa, a_cells[live], b_cells[live], config)
-    except ConvergenceError as exc:
-        if exc.args_at_failure is not None:
-            # the failing shape pair may be branch-swapped; the candidate
-            # whose d1 lies in this stripe is the offending cell
-            _, fa, fb = exc.args_at_failure
-            cell = (int(round(2 * fa)), int(round(2 * fb)))
-            if not (d1_lo <= cell[0] <= d1_hi and cell[1] >= 3):
-                cell = (cell[1], cell[0])
-            raise ConvergenceError(
-                f"grid scan at kappa={kappa!r}: convergence failure at "
-                f"(d1, d2) = {cell}",
-                exc.iterations,
-                exc.args_at_failure,
-            ) from exc
-        raise
+    return _min_cell(kappa, a_cells[live], b_cells[live], config)
 
 
 def _seed(kappa, grid, config):

@@ -362,17 +362,11 @@ def check_oracle_agreement(sample, tol: float = 1e-9, config: EvalConfig = DEFAU
     )
 
 
-def _recurrence_sample(rng, n):
+def _triple_sample(rng, n, hi):
+    """n (x, a, b) rows: x uniform on [0, 1), a and b log-uniform on [0.5, hi]."""
     x = rng.uniform(0.0, 1.0, n)
-    a = np.exp(rng.uniform(math.log(0.5), math.log(500.0), n))
-    b = np.exp(rng.uniform(math.log(0.5), math.log(500.0), n))
-    return np.column_stack([x, a, b])
-
-
-def _oracle_sample(rng, n):
-    x = rng.uniform(0.0, 1.0, n)
-    a = np.exp(rng.uniform(math.log(0.5), math.log(2000.0), n))
-    b = np.exp(rng.uniform(math.log(0.5), math.log(2000.0), n))
+    a = np.exp(rng.uniform(math.log(0.5), math.log(hi), n))
+    b = np.exp(rng.uniform(math.log(0.5), math.log(hi), n))
     return np.column_stack([x, a, b])
 
 
@@ -393,7 +387,7 @@ def run_suite(profile: str = "quick", seed: int = DEFAULT_SEED,
     n_pairs = 10 if quick else 50
 
     rng = np.random.default_rng(seed)
-    checks = [check_recurrence(_recurrence_sample(rng, n_rec), config=config)]
+    checks = [check_recurrence(_triple_sample(rng, n_rec, 500.0), config=config)]
     for kappa in (0.25, 0.5, 0.9, 1.0):
         checks.append(
             check_monotone_b(kappa, (1, 2, 3, 10, 100), range(3, d2_hi + 1), config=config)
@@ -407,6 +401,6 @@ def run_suite(profile: str = "quick", seed: int = DEFAULT_SEED,
     d2s = rng.integers(3, 301, n_pairs)
     pairs = [(int(d1), int(d2)) for d1, d2 in zip(d1s, d2s)] + [(1, 3), (2, 1999), (1, 4)]
     checks.append(check_kappa_monotone(pairs, (0.5, 1.0, 1.5, 2.0, 4.0), config=config))
-    checks.append(check_oracle_agreement(_oracle_sample(rng, n_oracle), config=config))
+    checks.append(check_oracle_agreement(_triple_sample(rng, n_oracle, 2000.0), config=config))
 
     return VerificationReport(checks=tuple(checks), seed=seed, profile=profile)

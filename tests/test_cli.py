@@ -66,6 +66,21 @@ class TestInf:
         assert "--a-max" in p.stderr and "Traceback" not in p.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("inf", "--kappa", "2", "--d1-max", "5", "--d2-max", "5", "--a-max", "1e308"),
+        ("inf", "--kappa", "1e308", "--d1-max", "5", "--d2-max", "5", "--a-max", "5"),
+        ("prob", "--d1", "5", "--d2", "5", "--kappa", "1e308"),
+        ("sweep", "--kappa-from", "1", "--kappa-to", "1e308", "--steps", "2", "--d1-max", "5", "--d2-max", "5"),
+    ],
+)
+def test_kappa_times_shape_overflow_usage_error(argv):
+    p = run_cli(*argv)
+    assert p.returncode == 2
+    assert "Traceback" not in p.stderr
+
+
 class TestTable:
     def test_csv_contains_all_rows_and_flag(self):
         p = run_cli("table", "--d1-max", "25", "--d2-max", "25", "--format", "csv")

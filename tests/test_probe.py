@@ -19,9 +19,9 @@ from fconc import (
     prob_leq_kappa_mean,
     reg_inc_beta,
 )
-from fconc import probe
+from fconc import cli, fdist, probe
 from fconc.probe import FLAG_CONJECTURE_REGIME, FLAG_EXACT_INF_NOT_ATTAINED
-from fconc.special import DEFAULT_CONFIG, REG_INC_BETA_ABS_ERR
+from fconc.special import DEFAULT_CONFIG, REG_INC_BETA_ABS_ERR, EvalConfig
 
 from conftest import PROBE_KAPPAS
 
@@ -145,6 +145,35 @@ class TestGridInfimum:
             grid_infimum(1.5, GridSpec(300, 40), workers=2)
         assert err.value.iterations == 7
         assert err.value.args_at_failure == (0.5, 1.0, 2.0)
+
+    def test_convergence_failure_names_cell(self):
+        # at kappa = 1.00005 the fraction of cell (60000, 60010) needs more
+        # than 100 iterations, and it runs on the symmetry branch
+        cfg = EvalConfig(cf_max_iter=100)
+        with pytest.raises(ConvergenceError, match=r"\(d1, d2\) = \(60000, 60010\)"):
+            probe._min_cell(1.00005, np.array([30000.0]), np.array([30005.0]), cfg)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched kernel reaches pool workers only when they are forked",
+    )
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
+    def test_cli_convergence_failure_exit_code_names_cell(self, monkeypatch, capsys, workers):
+        # no legal EvalConfig makes a grid fraction fail at these caps, so
+        # the kernel is patched to fail at cell (135, 30) as the real one would
+        kernel = fdist.reg_inc_beta
+
+        def fail_at_cell(x, a, b, config):
+            hit = np.flatnonzero((a == 67.5) & (b == 15.0))
+            if hit.size:
+                i = hit[0]
+                raise ConvergenceError("forced failure", 100, (float(x[i]), float(a[i]), float(b[i])))
+            return kernel(x, a, b, config)
+
+        monkeypatch.setattr(fdist, "reg_inc_beta", fail_at_cell)
+        caps = ["--d1-max", "140", "--d2-max", "40", "--a-max", "5"]
+        assert cli.main(["inf", "--kappa", "1.00005", *caps, *workers]) == cli.EXIT_NUMERICAL
+        assert "(d1, d2) = (135, 30)" in capsys.readouterr().err
 
 
 class TestLimitCurve:

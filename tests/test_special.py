@@ -174,6 +174,15 @@ class TestRegIncBeta:
         with pytest.raises(ConvergenceError) as err:
             reg_lower_gamma(10000.0, 10000.0, cfg)
         assert err.value.iterations == 100
+        assert err.value.args_at_failure == (10000.0, 10000.0)
+
+    def test_convergence_error_reports_callers_arguments(self):
+        # x lies past (a+1)/(a+b+2), so the fraction runs on the symmetry
+        # branch (1-x, b, a); the report still names the caller's (x, a, b)
+        with pytest.raises(ConvergenceError) as err:
+            reg_inc_beta(0.50005, 30000.0, 30010.0, EvalConfig(cf_max_iter=100))
+        assert err.value.args_at_failure == (0.50005, 30000.0, 30010.0)
+        assert "x=0.50005, a=30000.0, b=30010.0" in str(err.value)
 
     def test_convergence_error_pickle_round_trip(self):
         # process-pool workers send their exceptions to the parent pickled
