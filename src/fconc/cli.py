@@ -19,10 +19,11 @@ are kappa,inf_value,d1,d2,limit_min,limit_argmin_a,flags (flags joined with
                                  strict kappa-monotonicity of the probe
 
 Exit codes: 0 success, 1 verification/assertion failure, 2 usage error,
-3 numerical convergence failure. A --workers (or config ``workers``) below
-1 is a usage error, and so is a kappa whose product with the largest shape
-the command forms is not finite; a convergence failure inside a pool
-worker still exits with 3.
+3 numerical convergence failure, 4 a pool worker process died (killed, or
+out of memory) before returning its stripe. A --workers (or config
+``workers``) below 1 is a usage error, and so is a kappa whose product with
+the largest shape the command forms is not finite; a convergence failure
+inside a pool worker still exits with 3.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import argparse
 import json
 import math
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +45,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+EXIT_WORKER_DIED = 4
 
 FLAG_PAPER_ROW_INCONSISTENT = "paper-row-inconsistent"
 
@@ -441,6 +444,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"numerical convergence failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenProcessPool as exc:
+        print(f"worker process died: {exc}", file=sys.stderr)
+        return EXIT_WORKER_DIED
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -59,7 +59,10 @@ __all__ = [
 FLAG_EXACT_INF_NOT_ATTAINED = "exact-infimum-not-attained"
 FLAG_CONJECTURE_REGIME = "conjecture-kappa-gt-1"
 
-# d1 rows per scan chunk; ~256k cells keeps the working set small.
+# d1 rows per stripe, the process pool's unit of work (~256k cells). The
+# incomplete beta bounds its own working set by evaluating in chunks of
+# special._CHUNK elements, so the stripe size sets only the job granularity;
+# 16-row stripes measured no faster.
 _STRIPE_ROWS = 128
 
 # Side of the square blocks that share one lower bound. 16 keeps the bound
@@ -236,12 +239,21 @@ def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, config: EvalConfig = DEFA
 
 
 def limit_b(a, kappa, config: EvalConfig = DEFAULT_CONFIG):
-    """The b -> infinity limit of I_{q(a,b,kappa)}(a, b): P(a, kappa*a)."""
+    """The b -> infinity limit of I_{q(a,b,kappa)}(a, b): P(a, kappa*a).
+
+    A kappa * a that overflows is a ValueError naming kappa and that a.
+    """
     k = _check_kappa(kappa)
     arr = np.asarray(a, dtype=np.float64)
     if (arr <= 0.0).any():
         raise ValueError("limit_b requires a > 0")
-    return reg_lower_gamma(arr, k * arr, config)
+    with np.errstate(over="ignore"):
+        ka = k * arr
+    finite = np.isfinite(ka)
+    if not finite.all():
+        bad = float(arr[~finite][0])
+        raise ValueError(f"limit_b requires kappa * a finite, got kappa={k!r} and a={bad!r}")
+    return reg_lower_gamma(arr, ka, config)
 
 
 def limit_curve_min(kappa, a_grid, config: EvalConfig = DEFAULT_CONFIG):

@@ -1,8 +1,14 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
 import pytest
+
+from fconc import cli, probe
+
+_scan_stripe = probe._scan_stripe
 
 
 def run_cli(*args):
@@ -79,6 +85,27 @@ def test_kappa_times_shape_overflow_usage_error(argv):
     p = run_cli(*argv)
     assert p.returncode == 2
     assert "Traceback" not in p.stderr
+
+
+def _die_past_first_stripe(args):
+    # module level, so the pool can pickle it; os._exit skips all cleanup,
+    # as a kill or the out-of-memory killer does
+    if args[0] > 1:
+        os._exit(1)
+    return _scan_stripe(args)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched stripe reaches pool workers only when they are forked",
+)
+def test_dead_worker_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(probe, "_scan_stripe", _die_past_first_stripe)
+    argv = ["inf", "--kappa", "1.5", "--d1-max", "140", "--d2-max", "40", "--a-max", "5", "--workers", "2"]
+    assert cli.main(argv) == cli.EXIT_WORKER_DIED == 4
+    err = capsys.readouterr().err
+    assert err.startswith("worker process died: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestTable:

@@ -186,6 +186,15 @@ class TestLimitCurve:
         # at the d2 = 1999 cap the scan value sits just above the limit
         assert limit_b(1.0, 1.5) < prob_leq_kappa_mean(FParams(2, 1999), 1.5)
 
+    def test_kappa_times_a_overflow_names_both(self):
+        # the product used to overflow with a RuntimeWarning and fail later
+        # in reg_lower_gamma, naming neither kappa nor a
+        msg = r"kappa \* a finite, got kappa=2\.0 and a=1e\+308"
+        with pytest.raises(ValueError, match=msg):
+            limit_b([1.0, 1e308, 1.5e308], 2.0)
+        with pytest.raises(ValueError, match=msg):
+            infimum(2.0, GridSpec(5, 5), a_grid=[1e308])
+
     def test_kappa_one_decreasing_toward_half(self):
         a = np.arange(1, 101) / 2.0
         vals = limit_b(a, 1.0)

@@ -15,7 +15,7 @@ from fconc import (
     reg_lower_gamma,
 )
 
-from fconc.special import REG_INC_BETA_ABS_ERR
+from fconc.special import _CHUNK, REG_INC_BETA_ABS_ERR
 
 from conftest import PROBE_KAPPAS, seeded_triples
 
@@ -82,6 +82,15 @@ class TestBeta:
         direct = ln_beta(a, b)
         via_gamma = ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
         assert np.abs(direct - via_gamma).max() <= 1e-11
+
+    def test_chunked_call_matches_slices(self):
+        # two chunks and a tail, sub-0.5 shapes included, against calls
+        # whose batches end elsewhere
+        g = np.random.default_rng(6)
+        a = g.uniform(0.01, 3000.0, 2 * _CHUNK + 5)
+        b = g.uniform(0.01, 3000.0, a.size)
+        sliced = np.concatenate([ln_beta(a[i:i + 997], b[i:i + 997]) for i in range(0, a.size, 997)])
+        assert (sliced.view(np.int64) == ln_beta(a, b).view(np.int64)).all()
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -183,6 +192,49 @@ class TestRegIncBeta:
             reg_inc_beta(0.50005, 30000.0, 30010.0, EvalConfig(cf_max_iter=100))
         assert err.value.args_at_failure == (0.50005, 30000.0, 30010.0)
         assert "x=0.50005, a=30000.0, b=30010.0" in str(err.value)
+
+    def test_chunked_call_matches_single_element_calls(self):
+        # x = 0 and x = 1 interleaved, so the chunk edges of the interior
+        # points fall away from multiples of _CHUNK in the array
+        n = 3 * _CHUNK + 17
+        g = np.random.default_rng(5)
+        x = g.uniform(0.0, 1.0, n)
+        x[::5] = 0.0
+        x[2::7] = 1.0
+        a = g.integers(1, 4000, n) / 2.0
+        b = g.integers(1, 4000, n) / 2.0
+        out = reg_inc_beta(x, a, b)
+        # every element against a call whose batches end elsewhere, and the
+        # elements at the chunk edges plus a random sample one at a time
+        parts = [slice(i, i + 997) for i in range(0, n, 997)]
+        sliced = np.concatenate([reg_inc_beta(x[p], a[p], b[p]) for p in parts])
+        assert (sliced.view(np.int64) == out.view(np.int64)).all()
+        interior = np.flatnonzero((x > 0.0) & (x < 1.0))
+        edges = [interior[j] for k in range(1, 4) for j in (k * _CHUNK - 1, k * _CHUNK) if j < interior.size]
+        picks = np.concatenate([edges, [0, 1, 2, interior[-1], n - 1], g.integers(0, n, 200)])
+        single = np.array([reg_inc_beta(float(x[i]), float(a[i]), float(b[i])) for i in picks])
+        assert (single.view(np.int64) == out[picks].view(np.int64)).all()
+
+    def test_convergence_error_names_first_failure_across_chunks(self):
+        # the first chunk converges quickly; each later chunk holds a triple
+        # whose fraction needs more than 100 iterations
+        n = 4 * _CHUNK
+        x = np.full(n, 0.25)
+        a = np.full(n, 2.0)
+        b = np.full(n, 3.0)
+        x[::4] = 0.0
+        interior = np.flatnonzero(x)
+        failing = {_CHUNK + 11: (0.50005, 30000.0, 30010.0), 2 * _CHUNK + 5: (0.50005, 30001.0, 30011.0)}
+        for j, triple in failing.items():
+            x[interior[j]], a[interior[j]], b[interior[j]] = triple
+        with pytest.raises(ConvergenceError) as err:
+            reg_inc_beta(x, a, b, EvalConfig(cf_max_iter=100))
+        assert err.value.args_at_failure == (0.50005, 30000.0, 30010.0)
+        # a count of failures would be over one chunk, not the whole call
+        assert str(err.value) == (
+            "incomplete beta continued fraction: not converged after 100 iterations; "
+            "first offender x=0.50005, a=30000.0, b=30010.0"
+        )
 
     def test_convergence_error_pickle_round_trip(self):
         # process-pool workers send their exceptions to the parent pickled
