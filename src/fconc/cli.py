@@ -37,7 +37,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .probe import DEFAULT_GRID, GridSpec, ProbeResult, conjecture_probe, default_a_grid, infimum
+from .probe import DEFAULT_GRID, GridSpec, conjecture_probe, default_a_grid, infimum
 from .special import ConvergenceError, EvalConfig
 from .verify import DEFAULT_SEED, run_suite
 
@@ -94,51 +94,39 @@ def _round15(v) -> float:
     return float(_fmt15(v))
 
 
-def _record(result: ProbeResult) -> dict:
+def _records_csv(results) -> str:
     # inf_value is the grid minimum (it belongs to the d1/d2 argmin columns);
     # min(inf_value, limit_min) recovers the combined estimate
-    return {
-        "kappa": result.kappa,
-        "inf_value": result.grid_min,
-        "d1": result.argmin_d1,
-        "d2": result.argmin_d2,
-        "limit_min": result.limit_min,
-        "limit_argmin_a": result.limit_argmin_a,
-        "flags": list(result.flags),
-    }
-
-
-def _records_csv(records) -> str:
     lines = [CSV_HEADER]
-    for r in records:
+    for r in results:
         lines.append(
             ",".join(
                 [
-                    _fmt15(r["kappa"]),
-                    _fmt15(r["inf_value"]),
-                    str(r["d1"]),
-                    str(r["d2"]),
-                    "" if r["limit_min"] is None else _fmt15(r["limit_min"]),
-                    "" if r["limit_argmin_a"] is None else _fmt15(r["limit_argmin_a"]),
-                    ";".join(r["flags"]),
+                    _fmt15(r.kappa),
+                    _fmt15(r.grid_min),
+                    str(r.argmin_d1),
+                    str(r.argmin_d2),
+                    "" if r.limit_min is None else _fmt15(r.limit_min),
+                    "" if r.limit_argmin_a is None else _fmt15(r.limit_argmin_a),
+                    ";".join(r.flags),
                 ]
             )
         )
     return "\n".join(lines) + "\n"
 
 
-def _records_json(records) -> str:
+def _records_json(results) -> str:
     out = []
-    for r in records:
+    for r in results:
         out.append(
             {
-                "kappa": _round15(r["kappa"]),
-                "inf_value": _round15(r["inf_value"]),
-                "d1": r["d1"],
-                "d2": r["d2"],
-                "limit_min": None if r["limit_min"] is None else _round15(r["limit_min"]),
-                "limit_argmin_a": None if r["limit_argmin_a"] is None else _round15(r["limit_argmin_a"]),
-                "flags": r["flags"],
+                "kappa": _round15(r.kappa),
+                "inf_value": _round15(r.grid_min),
+                "d1": r.argmin_d1,
+                "d2": r.argmin_d2,
+                "limit_min": None if r.limit_min is None else _round15(r.limit_min),
+                "limit_argmin_a": None if r.limit_argmin_a is None else _round15(r.limit_argmin_a),
+                "flags": list(r.flags),
             }
         )
     return json.dumps(out, indent=2) + "\n"
@@ -216,37 +204,34 @@ def _check_kappa_arg(flag, kappa, *shapes):
 
 def cmd_table(args) -> int:
     config, grid, workers = _resolve_settings(args)
-    records = []
-    rows = []
-    for kappa, ref_val, ref_d1, ref_d2 in REFERENCE_TABLE:
-        flagged = kappa in INCONSISTENT_KAPPAS
-        # every table kappa is above 1; the rows carry only the reference
-        # flag, not the regime flag infimum attaches
-        res = replace(
+    # every table kappa is above 1; the rows carry only the reference flag,
+    # not the regime flag infimum attaches
+    results = [
+        replace(
             infimum(kappa, grid, None, config, workers),
-            flags=(FLAG_PAPER_ROW_INCONSISTENT,) if flagged else (),
+            flags=(FLAG_PAPER_ROW_INCONSISTENT,) if kappa in INCONSISTENT_KAPPAS else (),
         )
-        records.append(_record(res))
-        rows.append((kappa, res, ref_val, ref_d1, ref_d2, flagged))
+        for kappa, *_ in REFERENCE_TABLE
+    ]
 
     if args.format == "csv":
-        _emit(_records_csv(records), args.out)
+        _emit(_records_csv(results), args.out)
     elif args.format == "json":
-        _emit(_records_json(records), args.out)
+        _emit(_records_json(results), args.out)
     else:
         lines = [
             f"{'kappa':>10}  {'grid inf P':>12}  {'d1':>5}  {'d2':>5}  "
             f"{'reference':>10}  {'|diff|':>9}  flags"
         ]
-        for kappa, res, ref_val, ref_d1, ref_d2, flagged in rows:
+        rows = list(zip(REFERENCE_TABLE, results))
+        for (kappa, ref_val, _, _), res in rows:
             diff = abs(res.grid_min - ref_val)
-            flag_txt = FLAG_PAPER_ROW_INCONSISTENT if flagged else ""
             lines.append(
                 f"{kappa:>10.6f}  {res.grid_min:>12.6f}  {res.argmin_d1:>5d}  "
-                f"{res.argmin_d2:>5d}  {ref_val:>10.6f}  {diff:>9.2e}  {flag_txt}"
+                f"{res.argmin_d2:>5d}  {ref_val:>10.6f}  {diff:>9.2e}  {';'.join(res.flags)}"
             )
-        for kappa, res, ref_val, ref_d1, ref_d2, flagged in rows:
-            if flagged:
+        for (kappa, ref_val, ref_d1, ref_d2), res in rows:
+            if res.flags:
                 lines.append(
                     f"note: the reference row kappa={kappa:g} ({ref_val:.6f} at "
                     f"({ref_d1},{ref_d2})) exceeds the kappa=3.005 row and is "
@@ -268,9 +253,9 @@ def cmd_inf(args) -> int:
     res = report.result if report else infimum(args.kappa, grid, a_grid, config, workers)
 
     if args.format == "csv":
-        _emit(_records_csv([_record(res)]), args.out)
+        _emit(_records_csv([res]), args.out)
     elif args.format == "json":
-        _emit(_records_json([_record(res)]), args.out)
+        _emit(_records_json([res]), args.out)
     else:
         lines = [
             f"kappa                 {res.kappa:.15g}",
@@ -333,21 +318,16 @@ def cmd_sweep(args) -> int:
     if not args.kappa_from < args.kappa_to:
         raise UsageError("need --kappa-from < --kappa-to")
     kappas = np.linspace(args.kappa_from, args.kappa_to, args.steps)
-    records = []
-    values = []
-    for kappa in kappas:
-        res = infimum(float(kappa), grid, a_grid, config, workers)
-        records.append(_record(res))
-        values.append(res.grid_min)
-    for v1, v2 in zip(values, values[1:]):
-        if v2 < v1:
+    results = [infimum(float(kappa), grid, a_grid, config, workers) for kappa in kappas]
+    for r1, r2 in zip(results, results[1:]):
+        if r2.grid_min < r1.grid_min:
             print(
                 "monotonicity violation: inf estimates decreased along increasing "
                 "kappa; this signals a numerics bug",
                 file=sys.stderr,
             )
             return EXIT_CHECK_FAILED
-    _emit(_records_csv(records), args.out)
+    _emit(_records_csv(results), args.out)
     return EXIT_OK
 
 

@@ -18,12 +18,12 @@ recorded in the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fdist import FParams, _probe, prob_leq_kappa_mean
+from .fdist import FParams, _check_kappa, _probe
 from .probe import limit_b
 from .special import DEFAULT_CONFIG, ConvergenceError, EvalConfig, ln_beta, reg_inc_beta
 
@@ -167,16 +167,7 @@ class VerificationReport:
             "overall": self.overall,
             "seed": self.seed,
             "profile": self.profile,
-            "checks": [
-                {
-                    "name": c.name,
-                    "samples": c.samples,
-                    "max_residual": c.max_residual,
-                    "passed": c.passed,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
     def first_failure(self) -> Optional[CheckResult]:
@@ -193,6 +184,13 @@ def _sample_columns(sample):
     if arr.shape[0] == 0:
         raise ValueError("sample must be nonempty")
     return arr[:, 0], arr[:, 1], arr[:, 2]
+
+
+def _nonempty(name, values):
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{name} must be a nonempty sequence")
+    return arr
 
 
 def check_recurrence(sample, tol: float = 1e-10, config: EvalConfig = DEFAULT_CONFIG) -> CheckResult:
@@ -227,37 +225,31 @@ def check_monotone_b(kappa, d1_list: Sequence[int], d2_range, tol_strict: float 
     Proven for kappa <= 1; for kappa > 1 the same numbers are collected but
     reported observationally (always passes, detail says so). The residual
     is the largest consecutive difference, which must stay below
-    -tol_strict for a strict-decrease pass.
+    -tol_strict for a strict-decrease pass. A violation names the first d1
+    that has one, at its largest difference.
     """
-    kappa = float(kappa)
+    kappa = _check_kappa(kappa)
+    d1s = _nonempty("d1_list", d1_list)
     d2s = np.asarray(list(d2_range), dtype=np.int64)
     if d2s.size < 2 or (np.diff(d2s) != 1).any() or d2s[0] < 3:
         raise ValueError("d2_range must be consecutive integers starting at >= 3")
     observational = kappa > 1.0
-    worst = -np.inf
-    first_violation = None
-    n = 0
-    for d1 in d1_list:
-        vals = _probe(kappa, d1 / 2.0, d2s / 2.0, config)
-        diffs = np.diff(vals)
-        n += diffs.size
-        j = int(np.argmax(diffs))
-        if diffs[j] > worst:
-            worst = float(diffs[j])
-        if not observational and first_violation is None and diffs[j] >= -tol_strict:
-            first_violation = (int(d1), int(d2s[j + 1]), kappa)
-    passed = True if observational else worst < -tol_strict
+    diffs = np.diff(_probe(kappa, d1s[:, None] / 2.0, d2s / 2.0, config), axis=1)
+    worst = float(diffs.max())
+    bad = np.flatnonzero(diffs.max(axis=1) >= -tol_strict)
     if observational:
         detail = "kappa > 1: outside proven scope, observational only"
-    elif first_violation is None:
+    elif bad.size == 0:
         detail = f"all consecutive d2 steps decrease by more than {tol_strict:g}"
     else:
-        detail = f"violation at (d1, d2, kappa) = {first_violation}"
+        i = bad[0]
+        violation = (int(d1s[i]), int(d2s[np.argmax(diffs[i]) + 1]), kappa)
+        detail = f"violation at (d1, d2, kappa) = {violation}"
     return CheckResult(
         name=f"monotone-in-b[kappa={kappa:g}]" + ("-observational" if observational else ""),
-        samples=n,
+        samples=diffs.size,
         max_residual=worst,
-        passed=passed,
+        passed=observational or worst < -tol_strict,
         detail=detail,
     )
 
@@ -268,35 +260,33 @@ def check_limit(a_list, kappa_list, b_ladder, final_tol: float = 1e-3,
 
     For each (a, kappa) the residual |I_{q(a,b,kappa)}(a,b) - P(a, kappa a)|
     must shrink at every ladder step and end at or below final_tol. The
-    reported residual is the largest end-of-ladder residual.
+    reported residual is the largest end-of-ladder residual; a violation
+    names the first (a, kappa), a-major, at its first non-shrinking step.
     """
+    a = _nonempty("a_list", a_list)
+    kappas = [_check_kappa(k) for k in _nonempty("kappa_list", kappa_list)]
     ladder = np.asarray(list(b_ladder), dtype=np.float64)
     if ladder.size < 2 or (np.diff(ladder) <= 0.0).any():
         raise ValueError("b ladder must be increasing with at least two rungs")
-    worst_final = 0.0
-    violation = None
-    pairs = 0
-    for a in a_list:
-        for kappa in kappa_list:
-            vals = _probe(kappa, a, ladder, config)
-            lim = limit_b(a, kappa, config)
-            resid = np.abs(vals - lim)
-            pairs += 1
-            if (np.diff(resid) >= 0.0).any() and violation is None:
-                j = int(np.argmax(np.diff(resid) >= 0.0))
-                violation = (float(a), float(kappa), float(ladder[j]), float(ladder[j + 1]))
-            worst_final = max(worst_final, float(resid[-1]))
-    passed = violation is None and worst_final <= final_tol
-    detail = (
-        f"non-shrinking residual at (a, kappa, b, b') = {violation}"
-        if violation is not None
-        else f"residuals shrink at every step; final <= {final_tol:g}"
-    )
+    lim = np.stack([limit_b(a, k, config) for k in kappas], axis=1)
+    vals = _probe(np.asarray(kappas)[:, None], a[:, None, None], ladder, config)
+    resid = np.abs(vals - lim[:, :, None])
+    grows = np.diff(resid, axis=2) >= 0.0
+    worst_final = float(resid[:, :, -1].max())
+    bad = np.argwhere(grows.any(axis=2))
+    if bad.size == 0:
+        violation = None
+        detail = f"residuals shrink at every step; final <= {final_tol:g}"
+    else:
+        i, k = bad[0]
+        j = np.argmax(grows[i, k])
+        violation = (float(a[i]), kappas[k], float(ladder[j]), float(ladder[j + 1]))
+        detail = f"non-shrinking residual at (a, kappa, b, b') = {violation}"
     return CheckResult(
         name="limit-convergence",
-        samples=pairs * ladder.size,
+        samples=resid.size,
         max_residual=worst_final,
-        passed=passed,
+        passed=violation is None and worst_final <= final_tol,
         detail=detail,
     )
 
@@ -305,42 +295,38 @@ def check_kappa_monotone(p_sample, kappa_ladder, config: EvalConfig = DEFAULT_CO
     """Strict increase of the probe along an ascending kappa ladder.
 
     Residual is the smallest observed increment (negated), so any value
-    >= 0 means a violation; singleton ladders pass vacuously.
+    >= 0 means a violation; singleton ladders pass vacuously. A violation
+    names the first pair, in sample order, at its first non-increasing step.
     """
-    ladder = [float(k) for k in kappa_ladder]
+    ladder = [_check_kappa(k) for k in kappa_ladder]
     if len(ladder) == 0:
         raise ValueError("kappa ladder must be nonempty")
     if any(k2 <= k1 for k1, k2 in zip(ladder, ladder[1:])):
         raise ValueError("kappa ladder must be strictly increasing")
-    min_inc = np.inf
-    violation = None
-    comparisons = 0
-    for p in p_sample:
-        fp = p if isinstance(p, FParams) else FParams(int(p[0]), int(p[1]))
-        vals = [prob_leq_kappa_mean(fp, k, config) for k in ladder]
-        for (k1, v1), (k2, v2) in zip(zip(ladder, vals), zip(ladder[1:], vals[1:])):
-            comparisons += 1
-            inc = v2 - v1
-            if inc < min_inc:
-                min_inc = inc
-            if inc <= 0.0 and violation is None:
-                violation = (fp.d1, fp.d2, k1, k2)
-    if comparisons == 0:
+    params = [p if isinstance(p, FParams) else FParams(int(p[0]), int(p[1])) for p in p_sample]
+    if not params:
+        raise ValueError("p_sample must be nonempty")
+    if len(ladder) == 1:
         return CheckResult(
             name="monotone-in-kappa", samples=0, max_residual=0.0, passed=True,
             detail="singleton ladder: vacuous pass",
         )
-    passed = violation is None
-    detail = (
-        f"non-increasing step at (d1, d2, kappa1, kappa2) = {violation}"
-        if violation is not None
-        else "strictly increasing along the ladder for every parameter pair"
-    )
+    shapes = np.array([(p.d1, p.d2) for p in params], dtype=np.float64) / 2.0
+    incs = np.diff(_probe(np.asarray(ladder), shapes[:, :1], shapes[:, 1:], config), axis=1)
+    min_inc = float(incs.min())
+    bad = np.argwhere(incs <= 0.0)
+    if bad.size == 0:
+        violation = None
+        detail = "strictly increasing along the ladder for every parameter pair"
+    else:
+        i, j = bad[0]
+        violation = (params[i].d1, params[i].d2, ladder[j], ladder[j + 1])
+        detail = f"non-increasing step at (d1, d2, kappa1, kappa2) = {violation}"
     return CheckResult(
         name="monotone-in-kappa",
-        samples=comparisons,
-        max_residual=float(-min_inc),
-        passed=passed,
+        samples=incs.size,
+        max_residual=-min_inc,
+        passed=violation is None,
         detail=detail,
     )
 

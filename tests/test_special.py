@@ -268,6 +268,23 @@ class TestRegIncBeta:
                 ref = mpmath.betainc(ai, bi, 0, xi, regularized=True)
                 assert abs(float(ref - gi)) <= REG_INC_BETA_ABS_ERR, (xi, ai, bi)
 
+    def test_absolute_error_against_mpmath_large_shapes(self, rng):
+        # the module docstring's bound holds for a, b up to ~2000, the range
+        # verify's oracle sample draws from; real shapes in [1000, 2000] with
+        # x within three standard deviations of the mean a/(a+b), where the
+        # fraction is longest and I_x is far from 0 and 1
+        mpmath = pytest.importorskip("mpmath")
+        n = 20
+        a = rng.uniform(1000.0, 2000.0, n)
+        b = rng.uniform(1000.0, 2000.0, n)
+        sd = np.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
+        x = a / (a + b) + rng.uniform(-3.0, 3.0, n) * sd
+        got = reg_inc_beta(x, a, b)
+        with mpmath.workdps(40):
+            for xi, ai, bi, gi in zip(x, a, b, got):
+                ref = mpmath.betainc(ai, bi, 0, xi, regularized=True)
+                assert abs(float(ref - gi)) <= REG_INC_BETA_ABS_ERR, (xi, ai, bi)
+
 
 class TestRegLowerGamma:
     def test_exponential_special_case(self):

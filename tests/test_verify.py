@@ -1,20 +1,28 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
+import fconc.verify
 from fconc import (
     CheckResult,
     EvalConfig,
+    FParams,
     QuadratureError,
     check_kappa_monotone,
     check_limit,
     check_monotone_b,
     check_recurrence,
+    prob_leq_kappa_mean,
     reg_inc_beta,
     run_suite,
     quad_inc_beta,
 )
+from fconc.fdist import _probe
+from fconc.probe import limit_b
+from fconc.special import DEFAULT_CONFIG
 from fconc.verify import check_oracle_agreement
 
 from conftest import seeded_triples
@@ -96,6 +104,14 @@ class TestCheckMonotoneB:
         with pytest.raises(ValueError):
             check_monotone_b(1.0, [1], [3, 5, 7])
 
+    @pytest.mark.parametrize("d1_list, named", [((1, 2, 3), 1), ((3, 1, 2), 3)])
+    def test_violation_names_first_d1_at_worst_step(self, d1_list, named):
+        # every d1 violates; d1 = 1 has the largest difference
+        r = check_monotone_b(1.0, d1_list, range(3, 30), tol_strict=1e-2)
+        assert not r.passed
+        assert r.samples == 78
+        assert r.detail == f"violation at (d1, d2, kappa) = ({named}, 29, 1.0)"
+
 
 class TestCheckLimit:
     def test_acceptance_parameters(self):
@@ -114,6 +130,21 @@ class TestCheckLimit:
     def test_bad_ladder_rejected(self):
         with pytest.raises(ValueError):
             check_limit((1.0,), (1.0,), [4.0, 2.0])
+
+    def test_violation_names_first_pair_a_major(self, monkeypatch):
+        # the probe falls onto its limit from above; raising the limit by
+        # 0.01 for two pairs makes their residual grow once the gap is
+        # below 0.01, and (a, kappa) = (1, 1) comes before (5, 0.5) a-major
+        def shifted(a, kappa, config=DEFAULT_CONFIG):
+            a = np.asarray(a, dtype=np.float64)
+            hit = ((a == 1.0) & (kappa == 1.0)) | ((a == 5.0) & (kappa == 0.5))
+            return limit_b(a, kappa, config) + np.where(hit, 0.01, 0.0)
+
+        monkeypatch.setattr(fconc.verify, "limit_b", shifted)
+        r = check_limit((0.5, 1.0, 5.0), (0.5, 1.0), [2.0 ** j for j in range(1, 14)])
+        assert not r.passed
+        assert r.samples == 78
+        assert r.detail == "non-shrinking residual at (a, kappa, b, b') = (1.0, 1.0, 16.0, 32.0)"
 
 
 class TestCheckKappaMonotone:
@@ -136,6 +167,150 @@ class TestCheckKappaMonotone:
     def test_bad_ladder_rejected(self):
         with pytest.raises(ValueError):
             check_kappa_monotone([(1, 4)], (2.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "pairs, ladder",
+        [([(2, 50), (1, 3)], (1.0, 1e6, 2e6)), ([(1, 3), (2, 50)], (1.0, 1e6, 2e6, 3e6))],
+    )
+    def test_saturated_step_is_a_violation(self, pairs, ladder):
+        # at (2, 50) the probe rounds to 1.0 from kappa = 1e6 on, so those
+        # steps are +0.0 and the residual is their negation -0.0
+        r = check_kappa_monotone(pairs, ladder)
+        assert not r.passed
+        assert r.samples == 2 * (len(ladder) - 1)
+        assert r.detail == "non-increasing step at (d1, d2, kappa1, kappa2) = (2, 50, 1000000.0, 2000000.0)"
+        assert r.max_residual == 0.0 and math.copysign(1.0, r.max_residual) == -1.0
+
+
+class TestCheckInputs:
+    @pytest.mark.parametrize(
+        "check, args, name",
+        [
+            (check_monotone_b, (1.0, [], range(3, 10)), "d1_list"),
+            (check_limit, ([], (1.0,), [2.0, 4.0]), "a_list"),
+            (check_limit, ((1.0,), [], [2.0, 4.0]), "kappa_list"),
+            (check_kappa_monotone, ([], (1.0, 2.0)), "p_sample"),
+        ],
+    )
+    def test_empty_input_rejected(self, check, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            check(*args)
+
+    @pytest.mark.parametrize("kappa", [math.nan, -1.0])
+    @pytest.mark.parametrize(
+        "check, args",
+        [
+            (check_monotone_b, lambda k: (k, [1], range(3, 10))),
+            (check_limit, lambda k: ((1.0,), (0.5, k), [2.0, 4.0])),
+            (check_kappa_monotone, lambda k: ([(1, 3)], (k,))),
+        ],
+    )
+    def test_bad_kappa_named(self, check, args, kappa):
+        with pytest.raises(ValueError, match="kappa must be a finite positive real"):
+            check(*args(kappa))
+
+
+def _monotone_b_loop(kappa, d1_list, d2_range, tol_strict=1e-14, config=DEFAULT_CONFIG):
+    # reference: one _probe call per d1, reduced in a Python loop
+    kappa = float(kappa)
+    d2s = np.asarray(list(d2_range), dtype=np.int64)
+    observational = kappa > 1.0
+    worst, first, n = -np.inf, None, 0
+    for d1 in d1_list:
+        diffs = np.diff(_probe(kappa, d1 / 2.0, d2s / 2.0, config))
+        n += diffs.size
+        j = int(np.argmax(diffs))
+        if diffs[j] > worst:
+            worst = float(diffs[j])
+        if not observational and first is None and diffs[j] >= -tol_strict:
+            first = (int(d1), int(d2s[j + 1]), kappa)
+    if observational:
+        detail = "kappa > 1: outside proven scope, observational only"
+    elif first is None:
+        detail = f"all consecutive d2 steps decrease by more than {tol_strict:g}"
+    else:
+        detail = f"violation at (d1, d2, kappa) = {first}"
+    return CheckResult(
+        name=f"monotone-in-b[kappa={kappa:g}]" + ("-observational" if observational else ""),
+        samples=n, max_residual=worst,
+        passed=True if observational else worst < -tol_strict, detail=detail,
+    )
+
+
+def _limit_loop(a_list, kappa_list, b_ladder, final_tol=1e-3, config=DEFAULT_CONFIG):
+    # reference: one _probe and one limit_b call per (a, kappa)
+    ladder = np.asarray(list(b_ladder), dtype=np.float64)
+    worst, violation, pairs = 0.0, None, 0
+    for a in a_list:
+        for kappa in kappa_list:
+            resid = np.abs(_probe(kappa, a, ladder, config) - limit_b(a, kappa, config))
+            pairs += 1
+            grows = np.diff(resid) >= 0.0
+            if grows.any() and violation is None:
+                j = int(np.argmax(grows))
+                violation = (float(a), float(kappa), float(ladder[j]), float(ladder[j + 1]))
+            worst = max(worst, float(resid[-1]))
+    detail = (
+        f"non-shrinking residual at (a, kappa, b, b') = {violation}"
+        if violation is not None
+        else f"residuals shrink at every step; final <= {final_tol:g}"
+    )
+    return CheckResult(
+        name="limit-convergence", samples=pairs * ladder.size, max_residual=worst,
+        passed=violation is None and worst <= final_tol, detail=detail,
+    )
+
+
+def _kappa_monotone_loop(p_sample, kappa_ladder, config=DEFAULT_CONFIG):
+    # reference: one scalar prob_leq_kappa_mean call per (pair, kappa)
+    ladder = [float(k) for k in kappa_ladder]
+    min_inc, violation, comparisons = np.inf, None, 0
+    for p in p_sample:
+        fp = p if isinstance(p, FParams) else FParams(int(p[0]), int(p[1]))
+        vals = [prob_leq_kappa_mean(fp, k, config) for k in ladder]
+        for k1, k2, v1, v2 in zip(ladder, ladder[1:], vals, vals[1:]):
+            comparisons += 1
+            inc = v2 - v1
+            if inc < min_inc:
+                min_inc = inc
+            if inc <= 0.0 and violation is None:
+                violation = (fp.d1, fp.d2, k1, k2)
+    detail = (
+        f"non-increasing step at (d1, d2, kappa1, kappa2) = {violation}"
+        if violation is not None
+        else "strictly increasing along the ladder for every parameter pair"
+    )
+    return CheckResult(
+        name="monotone-in-kappa", samples=comparisons, max_residual=float(-min_inc),
+        passed=violation is None, detail=detail,
+    )
+
+
+@pytest.mark.parametrize("seed", [1729, 7])
+def test_checks_equal_per_pair_loops_on_full_suite(monkeypatch, seed):
+    # the array checks must give the per-pair loops' reports bit for bit on
+    # the arguments the full suite passes them
+    references = {
+        "check_monotone_b": _monotone_b_loop,
+        "check_limit": _limit_loop,
+        "check_kappa_monotone": _kappa_monotone_loop,
+    }
+    calls = []
+    for name in references:
+        def record(*args, _check=getattr(fconc.verify, name), _name=name, **kwargs):
+            result = _check(*args, **kwargs)
+            calls.append((_name, args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(fconc.verify, name, record)
+    run_suite("full", seed=seed)
+    assert [c[0] for c in calls].count("check_monotone_b") == 4
+    assert {c[0] for c in calls} == set(references)
+    for name, args, kwargs, result in calls:
+        ref = references[name](*args, **kwargs)
+        assert result == ref, name
+        assert result.max_residual.hex() == ref.max_residual.hex(), name
+        assert type(result.samples) is int and type(result.passed) is bool
 
 
 class TestOracleAgreement:
@@ -162,6 +337,13 @@ class TestReportAndSuite:
         d1 = run_suite("quick").to_dict()
         d2 = run_suite("quick").to_dict()
         assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+
+    def test_report_dict_lists_every_check_field(self):
+        rep = run_suite("quick")
+        fields = [f.name for f in dataclasses.fields(CheckResult)]
+        for c, d in zip(rep.checks, rep.to_dict()["checks"]):
+            assert list(d) == fields
+            assert d == {f: getattr(c, f) for f in fields}
 
     def test_report_serializable(self):
         rep = run_suite("quick")
