@@ -4,12 +4,19 @@ Three ingredients:
 
 * an exhaustive search of the (d1, d2) grid up to configurable caps, with a
   deterministic (value, d1, d2) tie-break. Exhaustive means every cell is
-  either evaluated or certified above the minimum: I_x(a, b) increases in x
-  and b and decreases in a (DLMF 8.17), and q = ka/(ka+b-1) increases in a
-  and decreases in b, so I_{q(a_lo, b_hi)}(a_hi, b_lo) bounds a whole block
-  of cells from below. A block is skipped only when that bound exceeds an
-  evaluated cell's value by more than twice reg_inc_beta's absolute error,
-  so a skipped cell can be neither the minimum nor tied with it;
+  either evaluated or certified above the minimum by one of two lower
+  bounds. Block bound: I_x(a, b) increases in x and b and decreases in a
+  (DLMF 8.17), and q = ka/(ka+b-1) increases in a and decreases in b, so
+  I_{q(a_lo, b_hi)}(a_hi, b_lo) bounds a 16 x 16 block of cells. Segment
+  bound: q increases in kappa, so P_kappa >= P_min(kappa, 1) cell by cell,
+  and by the paper's theorem P_k' strictly decreases in b for k' <= 1, so
+  P_min(kappa, 1)(a, b_hi) bounds a 64-column run of a row ending at b_hi.
+  The block bound prunes far from kappa = 1, the segment bound near it. A
+  cell is skipped only when a bound exceeds an evaluated cell's value by
+  more than twice reg_inc_beta's absolute error, so a skipped cell can be
+  neither the minimum nor tied with it. Exhaustiveness thus also rests on
+  the b-monotonicity theorem, which verify.check_monotone_b tests on its
+  own sample;
 * the b -> infinity limit curve g_kappa(a) = P(a, kappa*a), whose minimum
   over an a-grid is the second infimum candidate;
 * the closed-form answers for kappa <= 1 (0 below 1, 1/2 at 1, neither
@@ -70,9 +77,13 @@ _STRIPE_ROWS = 128
 # about what an unpruned scan does.
 _BLOCK = 16
 
+# Width of the row segments that share one lower bound: four blocks, so a
+# segment's liveness is read off the block bounds it spans.
+_SEGMENT = 4 * _BLOCK
+
 # A bound and a cell are each within REG_INC_BETA_ABS_ERR of their exact
-# values, so a block whose bound exceeds the incumbent by more than twice
-# that holds no cell at or below the incumbent.
+# values, so a block or segment whose bound exceeds the incumbent by more
+# than twice that holds no cell at or below the incumbent.
 _PRUNE_MARGIN = 2.0 * REG_INC_BETA_ABS_ERR
 
 
@@ -168,28 +179,58 @@ def _min_cell(kappa, a, b, config):
     return float(vals[i]), int(2.0 * a[i]), int(2.0 * b[i])
 
 
+def _segment_bound(kappa, a, b_hi, config):
+    """Lower bound of the probe over each row segment {a} x [b_lo, b_hi].
+
+    q increases in kappa and I_x in x, so P_kappa >= P_min(kappa, 1) cell by
+    cell; and P_k' strictly decreases in b for k' <= 1 (the paper's theorem,
+    checked by verify.check_monotone_b). So the probe at min(kappa, 1) and the
+    segment's last column bounds every cell of the segment.
+    """
+    return _probe(min(kappa, 1.0), a, b_hi, config)
+
+
 def _scan_stripe(args):
     """Minimum of the probe over d1 in [d1_lo, d1_hi] x d2 in [3, d2_max].
 
     Returns (min_value, d1, d2), or (inf, 0, 0) when every cell is certified
-    above the incumbent. Only cells of blocks whose bound is within the
-    error margin of the incumbent are evaluated; they are gathered in
-    row-major order, so the first-occurrence argmin gives the smallest d1,
-    then smallest d2, among exact ties.
+    above the incumbent. A cell is evaluated only if both its 16 x 16 block
+    bound and its 64-column row-segment bound are within the error margin of
+    the incumbent. Segment bounds are evaluated only on segments that overlap
+    a live block, and only in rows whose first-segment bound, the largest in
+    the row, exceeds the incumbent by more than the margin. An optional
+    seventh field holds those bounds for the stripe's rows; without it every
+    row is a candidate.
+    Cells are gathered in row-major order, so the first-occurrence argmin
+    gives the smallest d1, then smallest d2, among exact ties.
     """
-    d1_lo, d1_hi, d2_max, kappa, incumbent, config = args
+    d1_lo, d1_hi, d2_max, kappa, incumbent, config, *row_caps = args
     a = np.arange(d1_lo, d1_hi + 1, dtype=np.int64) / 2.0
     b = np.arange(3, d2_max + 1, dtype=np.int64) / 2.0
+    limit = incumbent + _PRUNE_MARGIN
     a_lo = a[::_BLOCK, None]
     b_lo = b[None, ::_BLOCK]
     half_side = (_BLOCK - 1) / 2.0
     bound = _block_bound(
         kappa, a_lo, np.minimum(a_lo + half_side, a[-1]), b_lo, np.minimum(b_lo + half_side, b[-1]), config
     )
-    live = bound <= incumbent + _PRUNE_MARGIN
-    live = live.repeat(_BLOCK, axis=0)[: a.size].repeat(_BLOCK, axis=1)[:, : b.size]
+    # rows x column blocks
+    live = (bound <= limit).repeat(_BLOCK, axis=0)[: a.size]
+    per_segment = _SEGMENT // _BLOCK
+    # rows x segments: does the segment overlap a live block?
+    touched = np.logical_or.reduceat(live, np.arange(0, live.shape[1], per_segment), axis=1)
+    if row_caps:
+        # a row whose largest segment bound cannot prune skips the family
+        touched &= (row_caps[0] > limit)[:, None]
+    seg_rows, seg_cols = np.nonzero(touched)
+    if seg_rows.size:
+        b_hi = b[np.minimum((seg_cols + 1) * _SEGMENT, b.size) - 1]
+        seg_live = np.ones_like(touched)
+        seg_live[seg_rows, seg_cols] = _segment_bound(kappa, a[seg_rows], b_hi, config) <= limit
+        live &= seg_live.repeat(per_segment, axis=1)[:, : live.shape[1]]
     if not live.any():
         return math.inf, 0, 0
+    live = live.repeat(_BLOCK, axis=1)[:, : b.size]
     a_cells, b_cells = np.broadcast_arrays(a[:, None], b[None, :])
     return _min_cell(kappa, a_cells[live], b_cells[live], config)
 
@@ -209,11 +250,17 @@ def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, config: EvalConfig = DEFA
 
     Exhaustive means every cell is either evaluated or certified above the
     minimum. The smallest cell of row d1 = 1 and column d2 = d2_max seeds
-    an incumbent; each 128-row stripe is tiled with 16 x 16 blocks, and a
-    block is evaluated only if its monotonicity lower bound is at most the
-    incumbent plus twice reg_inc_beta's absolute error (REG_INC_BETA_ABS_ERR
-    for the bound and again for a cell). A skipped cell is thus strictly
-    above the incumbent, and the result is the exhaustive scan's, bit for bit.
+    an incumbent; each 128-row stripe is tiled with 16 x 16 blocks and each
+    row with 64-column segments, and a cell is evaluated only if both its
+    block's and its segment's lower bound are at most the incumbent plus
+    twice reg_inc_beta's absolute error (REG_INC_BETA_ABS_ERR for the bound
+    and again for a cell). A skipped cell is thus strictly above the
+    incumbent, and the result is the exhaustive scan's, bit for bit. The
+    segment bound rests on the paper's theorem that the probe strictly
+    decreases in d2 for kappa <= 1, which verify.check_monotone_b tests on
+    its own sample; it is what prunes near kappa = 1, where the block bound
+    prunes nothing. A row whose first segment, the largest bound in the
+    row, cannot prune skips the segment bounds.
 
     Ties are broken toward the smallest d1, then the smallest d2. With
     workers > 1 the stripes are evaluated in a process pool; the reduction
@@ -222,8 +269,14 @@ def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, config: EvalConfig = DEFA
     """
     k = _check_kappa(kappa)
     seed = _seed(k, grid, config)
+    # each row's first-segment bound, the largest of its segment bounds; the
+    # first segment ends at d2 = _SEGMENT + 2
+    row_caps = _segment_bound(
+        k, np.arange(1, grid.d1_max + 1, dtype=np.int64) / 2.0, min(_SEGMENT + 2, grid.d2_max) / 2.0, config
+    )
     jobs = [
-        (lo, min(lo + _STRIPE_ROWS - 1, grid.d1_max), grid.d2_max, k, seed[0], config)
+        (lo, min(lo + _STRIPE_ROWS - 1, grid.d1_max), grid.d2_max, k, seed[0], config,
+         row_caps[lo - 1 : lo - 1 + _STRIPE_ROWS])
         for lo in range(1, grid.d1_max + 1, _STRIPE_ROWS)
     ]
     if workers is not None and workers > 1 and len(jobs) > 1:
@@ -295,7 +348,10 @@ def infimum(kappa, grid: GridSpec = DEFAULT_GRID, a_grid=None,
     (neither attained at finite parameters); both are reported alongside
     the numerical minima so the closed forms are checked, not assumed.
     The regime test is an exact comparison of the double kappa against 1.0;
-    values near 1 are never snapped.
+    values near 1 are never snapped. For kappa <= 1 the grid minimum is
+    evidence beside the closed forms, and since the scan prunes with the
+    paper's b-monotonicity theorem, that evidence leans on the theorem;
+    verify.check_monotone_b keeps testing it on its own sample.
     """
     k = _check_kappa(kappa)
     if a_grid is None:

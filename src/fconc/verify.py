@@ -226,10 +226,15 @@ def check_monotone_b(kappa, d1_list: Sequence[int], d2_range, tol_strict: float 
     reported observationally (always passes, detail says so). The residual
     is the largest consecutive difference, which must stay below
     -tol_strict for a strict-decrease pass. A violation names the first d1
-    that has one, at its largest difference.
+    that has one, at its largest difference. A d1 that is not an integer
+    >= 1 is a ValueError. The grid scan's row-segment bound rests on this
+    theorem, and this check tests it on its own sample.
     """
     kappa = _check_kappa(kappa)
     d1s = _nonempty("d1_list", d1_list)
+    bad = d1s[~(np.isfinite(d1s) & (np.floor(d1s) == d1s) & (d1s >= 1.0))]
+    if bad.size:
+        raise ValueError(f"d1_list must hold integers >= 1, got {float(bad[0])!r}")
     d2s = np.asarray(list(d2_range), dtype=np.int64)
     if d2s.size < 2 or (np.diff(d2s) != 1).any() or d2s[0] < 3:
         raise ValueError("d2_range must be consecutive integers starting at >= 3")
@@ -297,13 +302,15 @@ def check_kappa_monotone(p_sample, kappa_ladder, config: EvalConfig = DEFAULT_CO
     Residual is the smallest observed increment (negated), so any value
     >= 0 means a violation; singleton ladders pass vacuously. A violation
     names the first pair, in sample order, at its first non-increasing step.
+    Each pair is an FParams or a (d1, d2) pair taken as given, so a pair that
+    is not integral is FParams' ValueError.
     """
     ladder = [_check_kappa(k) for k in kappa_ladder]
     if len(ladder) == 0:
         raise ValueError("kappa ladder must be nonempty")
     if any(k2 <= k1 for k1, k2 in zip(ladder, ladder[1:])):
         raise ValueError("kappa ladder must be strictly increasing")
-    params = [p if isinstance(p, FParams) else FParams(int(p[0]), int(p[1])) for p in p_sample]
+    params = [p if isinstance(p, FParams) else FParams(p[0], p[1]) for p in p_sample]
     if not params:
         raise ValueError("p_sample must be nonempty")
     if len(ladder) == 1:

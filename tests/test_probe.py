@@ -127,6 +127,43 @@ class TestGridInfimum:
         cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
         assert bound <= cells.min() + REG_INC_BETA_ABS_ERR
 
+    @pytest.mark.parametrize("kappa", [1.001, 1.005])
+    def test_segment_pruned_search_matches_full_grid(self, kappa):
+        # near-one rows where the segment bound prunes part of the grid but
+        # not all of it, held to the same full-grid and per-stripe oracles
+        self.test_pruned_search_matches_full_grid(kappa)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kappa=st.one_of(st.sampled_from(PROBE_KAPPAS), st.floats(0.5, 4.0), st.floats(4.0, 20.0)),
+        d1=st.integers(1, 1999),
+        d2_lo=st.integers(3, 1936),
+        cols=st.integers(1, 64),
+    )
+    def test_segment_bound_below_every_cell(self, kappa, d1, d2_lo, cols):
+        a = d1 / 2.0
+        b = np.arange(d2_lo, d2_lo + cols) / 2.0
+        bound = probe._segment_bound(kappa, a, b[-1], DEFAULT_CONFIG)
+        cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
+        assert bound <= cells.min() + REG_INC_BETA_ABS_ERR
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.00005])
+    def test_segment_bound_prunes_near_one(self, monkeypatch, kappa):
+        # a count, so deterministic: the block bound alone leaves the whole
+        # grid to the stripe scans here, the segment bound a few cells
+        grid = GridSpec(300, 400)
+        evaluated = []
+        min_cell = probe._min_cell
+
+        def counting(kappa, a, b, config):
+            evaluated.append(a.size)
+            return min_cell(kappa, a, b, config)
+
+        monkeypatch.setattr(probe, "_min_cell", counting)
+        grid_infimum(kappa, grid)
+        seed_cells = grid.d1_max + grid.d2_max - 2  # row d1 = 1 and column d2 = d2_max
+        assert sum(evaluated) - seed_cells < 0.01 * grid.d1_max * (grid.d2_max - 2)
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="the patched kernel reaches pool workers only when they are forked",

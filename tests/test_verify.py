@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,22 @@ class TestCheckInputs:
     def test_bad_kappa_named(self, check, args, kappa):
         with pytest.raises(ValueError, match="kappa must be a finite positive real"):
             check(*args(kappa))
+
+    @pytest.mark.parametrize(
+        "check, args, message",
+        [
+            (check_monotone_b, (1.0, [2.5], range(3, 30), 1e-2), "d1_list must hold integers >= 1, got 2.5"),
+            (check_monotone_b, (1.0, [1, 0], range(3, 30)), "d1_list must hold integers >= 1, got 0.0"),
+            (check_monotone_b, (1.0, [math.inf], range(3, 30)), "d1_list must hold integers >= 1, got inf"),
+            (check_kappa_monotone, ([(1.9, 3.7)], (1.0, 2.0)), "degrees of freedom must be integers"),
+        ],
+    )
+    def test_bad_degrees_rejected(self, check, args, message):
+        # check_monotone_b used to probe a = 1.25 and name d1 = 2, and to
+        # fail on d1 = 0 or inf inside reg_inc_beta; check_kappa_monotone
+        # checked (1, 3) in place of (1.9, 3.7)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check(*args)
 
 
 def _monotone_b_loop(kappa, d1_list, d2_range, tol_strict=1e-14, config=DEFAULT_CONFIG):
