@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -159,13 +160,11 @@ def _block_bound(kappa, a_lo, a_hi, b_lo, b_hi, config):
     return reg_inc_beta(_threshold(kappa, a_lo, b_hi), a_hi, b_lo, config)
 
 
-def _min_cell(kappa, a, b, config):
-    """(value, d1, d2) of the first smallest probe value over flat shape arrays.
-
-    A ConvergenceError is re-raised naming the failing cell.
-    """
+@contextmanager
+def _naming_cell(kappa):
+    """Re-raise a grid evaluation's ConvergenceError naming kappa and the cell."""
     try:
-        vals = _probe(kappa, a, b, config)
+        yield
     except ConvergenceError as exc:
         _, fa, fb = exc.args_at_failure
         raise ConvergenceError(
@@ -174,6 +173,12 @@ def _min_cell(kappa, a, b, config):
             exc.iterations,
             exc.args_at_failure,
         ) from exc
+
+
+def _min_cell(kappa, a, b, config):
+    """(value, d1, d2) of the first smallest probe value over flat shape arrays."""
+    with _naming_cell(kappa):
+        vals = _probe(kappa, a, b, config)
     i = int(np.argmin(vals))
     # halves of integers are exact doubles, so 2a and 2b recover the cell
     return float(vals[i]), int(2.0 * a[i]), int(2.0 * b[i])
@@ -185,9 +190,24 @@ def _segment_bound(kappa, a, b_hi, config):
     q increases in kappa and I_x in x, so P_kappa >= P_min(kappa, 1) cell by
     cell; and P_k' strictly decreases in b for k' <= 1 (the paper's theorem,
     checked by verify.check_monotone_b). So the probe at min(kappa, 1) and the
-    segment's last column bounds every cell of the segment.
+    segment's last column bounds every cell of the segment. A
+    ConvergenceError names the scan's kappa and the failing segment end.
     """
-    return _probe(min(kappa, 1.0), a, b_hi, config)
+    with _naming_cell(kappa):
+        return _probe(min(kappa, 1.0), a, b_hi, config)
+
+
+def _segment_ends(cols, d2_max):
+    """b at the last column of row segments cols = 0, 1, ...: segment j spans
+    d2 in [3 + j * _SEGMENT, 2 + (j + 1) * _SEGMENT], cut at d2_max."""
+    return np.minimum((cols + 1) * _SEGMENT + 2, d2_max) / 2.0
+
+
+def _row_caps(kappa, d1_lo, d1_hi, d2_max, config):
+    """First-segment bound of each row d1 in [d1_lo, d1_hi]: by the theorem,
+    the largest of the row's segment bounds."""
+    a = np.arange(d1_lo, d1_hi + 1, dtype=np.int64) / 2.0
+    return _segment_bound(kappa, a, _segment_ends(0, d2_max), config)
 
 
 def _scan_stripe(args):
@@ -198,13 +218,13 @@ def _scan_stripe(args):
     bound and its 64-column row-segment bound are within the error margin of
     the incumbent. Segment bounds are evaluated only on segments that overlap
     a live block, and only in rows whose first-segment bound, the largest in
-    the row, exceeds the incumbent by more than the margin. An optional
-    seventh field holds those bounds for the stripe's rows; without it every
-    row is a candidate.
+    the row, exceeds the incumbent by more than the margin. grid_infimum
+    passes those bounds for the stripe's rows as a seventh field; a job
+    without it computes them itself, so both scan the same cells.
     Cells are gathered in row-major order, so the first-occurrence argmin
     gives the smallest d1, then smallest d2, among exact ties.
     """
-    d1_lo, d1_hi, d2_max, kappa, incumbent, config, *row_caps = args
+    d1_lo, d1_hi, d2_max, kappa, incumbent, config, *caps = args
     a = np.arange(d1_lo, d1_hi + 1, dtype=np.int64) / 2.0
     b = np.arange(3, d2_max + 1, dtype=np.int64) / 2.0
     limit = incumbent + _PRUNE_MARGIN
@@ -219,13 +239,14 @@ def _scan_stripe(args):
     per_segment = _SEGMENT // _BLOCK
     # rows x segments: does the segment overlap a live block?
     touched = np.logical_or.reduceat(live, np.arange(0, live.shape[1], per_segment), axis=1)
-    if row_caps:
-        # a row whose largest segment bound cannot prune skips the family
-        touched &= (row_caps[0] > limit)[:, None]
+    # a row whose first-segment bound, its largest, cannot prune skips the
+    # family
+    row_caps = caps[0] if caps else _row_caps(kappa, d1_lo, d1_hi, d2_max, config)
+    touched &= (row_caps > limit)[:, None]
     seg_rows, seg_cols = np.nonzero(touched)
     if seg_rows.size:
-        b_hi = b[np.minimum((seg_cols + 1) * _SEGMENT, b.size) - 1]
         seg_live = np.ones_like(touched)
+        b_hi = _segment_ends(seg_cols, d2_max)
         seg_live[seg_rows, seg_cols] = _segment_bound(kappa, a[seg_rows], b_hi, config) <= limit
         live &= seg_live.repeat(per_segment, axis=1)[:, : live.shape[1]]
     if not live.any():
@@ -269,11 +290,9 @@ def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, config: EvalConfig = DEFA
     """
     k = _check_kappa(kappa)
     seed = _seed(k, grid, config)
-    # each row's first-segment bound, the largest of its segment bounds; the
-    # first segment ends at d2 = _SEGMENT + 2
-    row_caps = _segment_bound(
-        k, np.arange(1, grid.d1_max + 1, dtype=np.int64) / 2.0, min(_SEGMENT + 2, grid.d2_max) / 2.0, config
-    )
+    # the rows' first-segment bounds in one kernel call: the call's fixed
+    # cost, paid per stripe, makes the gate as dear as the family it skips
+    row_caps = _row_caps(k, 1, grid.d1_max, grid.d2_max, config)
     jobs = [
         (lo, min(lo + _STRIPE_ROWS - 1, grid.d1_max), grid.d2_max, k, seed[0], config,
          row_caps[lo - 1 : lo - 1 + _STRIPE_ROWS])

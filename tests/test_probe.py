@@ -164,6 +164,33 @@ class TestGridInfimum:
         seed_cells = grid.d1_max + grid.d2_max - 2  # row d1 = 1 and column d2 = d2_max
         assert sum(evaluated) - seed_cells < 0.01 * grid.d1_max * (grid.d2_max - 2)
 
+    @pytest.mark.parametrize("kappa", [0.9, 1.001, 1.05, 1.5])
+    def test_gated_stripes_find_their_own_minimum(self, monkeypatch, kappa):
+        # the jobs grid_infimum builds carry the batched first-segment
+        # bounds; with each stripe's own minimum as incumbent they must find
+        # that minimum, and agree with a job that computes its own bounds
+        grid = GridSpec(300, 400)
+        jobs = []
+        scan = probe._scan_stripe
+
+        def recording(job):
+            jobs.append(job)
+            return scan(job)
+
+        monkeypatch.setattr(probe, "_scan_stripe", recording)
+        grid_infimum(kappa, grid)
+        assert len(jobs) == 3
+        for job in jobs:
+            d1_lo, d1_hi = job[0], job[1]
+            d1, d2 = np.meshgrid(np.arange(d1_lo, d1_hi + 1), np.arange(3, grid.d2_max + 1), indexing="ij")
+            a, b = d1 / 2.0, d2 / 2.0
+            vals = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
+            i = int(np.argmin(vals))
+            expected = (float(vals.flat[i]), int(d1.flat[i]), int(d2.flat[i]))
+            own = job[:4] + (expected[0],) + job[5:]
+            assert scan(own) == expected
+            assert scan(own[:6]) == expected
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="the patched kernel reaches pool workers only when they are forked",
@@ -211,6 +238,27 @@ class TestGridInfimum:
         caps = ["--d1-max", "140", "--d2-max", "40", "--a-max", "5"]
         assert cli.main(["inf", "--kappa", "1.00005", *caps, *workers]) == cli.EXIT_NUMERICAL
         assert "(d1, d2) = (135, 30)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
+    def test_cli_convergence_failure_at_segment_end_names_cell(self, monkeypatch, capsys, workers):
+        # d2 = 66 ends the first row segment and lies off the seed's row and
+        # column, so the first-segment bounds, evaluated before any stripe,
+        # meet the failing cell first
+        kernel = fdist.reg_inc_beta
+
+        def fail_at_cell(x, a, b, config):
+            # the first-segment bounds share one scalar b
+            x, a, b = np.broadcast_arrays(x, a, b)
+            hit = np.flatnonzero((a == 67.5) & (b == 33.0))
+            if hit.size:
+                i = hit[0]
+                raise ConvergenceError("forced failure", 100, (float(x[i]), float(a[i]), float(b[i])))
+            return kernel(x, a, b, config)
+
+        monkeypatch.setattr(fdist, "reg_inc_beta", fail_at_cell)
+        caps = ["--d1-max", "140", "--d2-max", "100", "--a-max", "5"]
+        assert cli.main(["inf", "--kappa", "1.00005", *caps, *workers]) == cli.EXIT_NUMERICAL
+        assert "grid scan at kappa=1.00005: convergence failure at (d1, d2) = (135, 66)" in capsys.readouterr().err
 
 
 class TestLimitCurve:
