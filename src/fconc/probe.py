@@ -10,22 +10,22 @@ Three ingredients:
   I_{q(a_lo, b_hi)}(a_hi, b_lo) bounds a 16 x 16 block of cells. Segment
   bound: q increases in kappa, so P_kappa >= P_min(kappa, 1) cell by cell,
   and by the paper's theorem P_k' strictly decreases in b for k' <= 1, so
-  P_min(kappa, 1)(a, b_hi) bounds a 64-column run of a row ending at b_hi.
-  The block bound prunes far from kappa = 1, the segment bound near it. A
-  cell is skipped only when a bound exceeds an evaluated cell's value by
-  more than twice reg_inc_beta's absolute error, so a skipped cell can be
-  neither the minimum nor tied with it. Exhaustiveness thus also rests on
-  the b-monotonicity theorem, which verify.check_monotone_b tests on its
-  own sample;
+  P_min(kappa, 1)(a, b_hi) bounds every cell of a row up to b_hi: a row's
+  certified 64-column segments are a prefix, found by bisection. The block
+  bound prunes far from kappa = 1, the segment bound near it. A cell is
+  skipped only when a bound exceeds an evaluated cell's value by more than
+  twice reg_inc_beta's absolute error, so a skipped cell can be neither the
+  minimum nor tied with it. Exhaustiveness thus also rests on the theorem,
+  which verify.check_monotone_b tests on its own sample;
 * the b -> infinity limit curve g_kappa(a) = P(a, kappa*a), whose minimum
   over an a-grid is the second infimum candidate;
 * the closed-form answers for kappa <= 1 (0 below 1, 1/2 at 1, neither
   attained), which are reported alongside the numerical evidence rather
   than assumed.
 
-The grid scan decomposes into d1 stripes whose per-cell arithmetic does not
-depend on stripe boundaries, so results are bit-identical for any worker
-count.
+One pass in the calling process decides which cells to evaluate; the live
+cells are evaluated in d1 stripes whose per-cell arithmetic does not depend
+on stripe boundaries, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -67,10 +67,11 @@ __all__ = [
 FLAG_EXACT_INF_NOT_ATTAINED = "exact-infimum-not-attained"
 FLAG_CONJECTURE_REGIME = "conjecture-kappa-gt-1"
 
-# d1 rows per stripe, the process pool's unit of work (~256k cells). The
-# incomplete beta bounds its own working set by evaluating in chunks of
-# special._CHUNK elements, so the stripe size sets only the job granularity;
-# 16-row stripes measured no faster.
+# d1 rows per stripe, the process pool's unit of work (up to ~256k cells); a
+# stripe with no live cell is no job. The incomplete beta bounds its own
+# working set by evaluating in chunks of special._CHUNK elements, so the
+# stripe size sets only the job granularity; 16-row stripes measured no
+# faster.
 _STRIPE_ROWS = 128
 
 # Side of the square blocks that share one lower bound. 16 keeps the bound
@@ -185,14 +186,9 @@ def _min_cell(kappa, a, b, config):
 
 
 def _segment_bound(kappa, a, b_hi, config):
-    """Lower bound of the probe over each row segment {a} x [b_lo, b_hi].
-
-    q increases in kappa and I_x in x, so P_kappa >= P_min(kappa, 1) cell by
-    cell; and P_k' strictly decreases in b for k' <= 1 (the paper's theorem,
-    checked by verify.check_monotone_b). So the probe at min(kappa, 1) and the
-    segment's last column bounds every cell of the segment. A
-    ConvergenceError names the scan's kappa and the failing segment end.
-    """
+    """Lower bound of the probe over every cell of row a up to b_hi: the
+    probe at min(kappa, 1) and b_hi, by the paper's theorem (see the module
+    docstring). A ConvergenceError names the scan's kappa and the cell."""
     with _naming_cell(kappa):
         return _probe(min(kappa, 1.0), a, b_hi, config)
 
@@ -203,54 +199,59 @@ def _segment_ends(cols, d2_max):
     return np.minimum((cols + 1) * _SEGMENT + 2, d2_max) / 2.0
 
 
-def _row_caps(kappa, d1_lo, d1_hi, d2_max, config):
-    """First-segment bound of each row d1 in [d1_lo, d1_hi]: by the theorem,
-    the largest of the row's segment bounds."""
-    a = np.arange(d1_lo, d1_hi + 1, dtype=np.int64) / 2.0
-    return _segment_bound(kappa, a, _segment_ends(0, d2_max), config)
+def _certified_segments(kappa, a, d2_max, limit, config):
+    """Count of each row a's leading segments certified above limit.
+
+    A segment bound bounds its row up to the segment's end, so any segment
+    bound above limit certifies the prefix ending there, whether or not the
+    computed bounds are monotone. Segment 0 is taken for every row in one
+    call, then bisection, one call per step over the rows not yet decided.
+    """
+    n_seg = -(-(d2_max - 2) // _SEGMENT)
+    above = _segment_bound(kappa, a, _segment_ends(0, d2_max), config) > limit
+    # segment lo's bound is above limit (or lo = -1), hi's not (or hi = n_seg)
+    lo = np.where(above, 0, -1)
+    hi = np.where(above, n_seg, 0)
+    while (rows := np.flatnonzero(hi - lo > 1)).size:
+        mid = (lo[rows] + hi[rows]) // 2
+        above = _segment_bound(kappa, a[rows], _segment_ends(mid, d2_max), config) > limit
+        lo[rows] = np.where(above, mid, lo[rows])
+        hi[rows] = np.where(above, hi[rows], mid)
+    return lo + 1
+
+
+def _live_blocks(kappa, grid, limit, config):
+    """Grid rows x 16-column blocks: True where the row's cells in the block
+    lie past its certified segments and the block bound, taken in one call
+    on the blocks holding such a cell, is at most limit."""
+    a = np.arange(1, grid.d1_max + 1, dtype=np.int64) / 2.0
+    b = np.arange(3, grid.d2_max + 1, dtype=np.int64) / 2.0
+    # first uncertified block of each row; a segment spans whole blocks
+    first = _certified_segments(kappa, a, grid.d2_max, limit, config) * (_SEGMENT // _BLOCK)
+    cols = np.arange(-(-b.size // _BLOCK))
+    # a block has a cell past the cut iff its row with the smallest cut does
+    bounded = cols >= np.minimum.reduceat(first, np.arange(0, a.size, _BLOCK))[:, None]
+    rows, blocks = np.nonzero(bounded)
+    a_lo, b_lo = a[::_BLOCK][rows], b[::_BLOCK][blocks]
+    half_side = (_BLOCK - 1) / 2.0
+    bound = np.full(bounded.shape, math.inf)
+    bound[rows, blocks] = _block_bound(
+        kappa, a_lo, np.minimum(a_lo + half_side, a[-1]), b_lo, np.minimum(b_lo + half_side, b[-1]), config
+    )
+    return (bound <= limit).repeat(_BLOCK, axis=0)[: a.size] & (cols >= first[:, None])
 
 
 def _scan_stripe(args):
-    """Minimum of the probe over d1 in [d1_lo, d1_hi] x d2 in [3, d2_max].
+    """(value, d1, d2) of the smallest live cell of one stripe.
 
-    Returns (min_value, d1, d2), or (inf, 0, 0) when every cell is certified
-    above the incumbent. A cell is evaluated only if both its 16 x 16 block
-    bound and its 64-column row-segment bound are within the error margin of
-    the incumbent. Segment bounds are evaluated only on segments that overlap
-    a live block, and only in rows whose first-segment bound, the largest in
-    the row, exceeds the incumbent by more than the margin. grid_infimum
-    passes those bounds for the stripe's rows as a seventh field; a job
-    without it computes them itself, so both scan the same cells.
-    Cells are gathered in row-major order, so the first-occurrence argmin
-    gives the smallest d1, then smallest d2, among exact ties.
+    args is (d1_lo, live_rows, d2_max, kappa, config), where live_rows is the
+    stripe's slice of _live_blocks's mask and d1_lo its first row. Cells are
+    gathered in row-major order, so the first-occurrence argmin gives the
+    smallest d1, then smallest d2, among exact ties.
     """
-    d1_lo, d1_hi, d2_max, kappa, incumbent, config, *caps = args
-    a = np.arange(d1_lo, d1_hi + 1, dtype=np.int64) / 2.0
+    d1_lo, live, d2_max, kappa, config = args
+    a = np.arange(d1_lo, d1_lo + live.shape[0], dtype=np.int64) / 2.0
     b = np.arange(3, d2_max + 1, dtype=np.int64) / 2.0
-    limit = incumbent + _PRUNE_MARGIN
-    a_lo = a[::_BLOCK, None]
-    b_lo = b[None, ::_BLOCK]
-    half_side = (_BLOCK - 1) / 2.0
-    bound = _block_bound(
-        kappa, a_lo, np.minimum(a_lo + half_side, a[-1]), b_lo, np.minimum(b_lo + half_side, b[-1]), config
-    )
-    # rows x column blocks
-    live = (bound <= limit).repeat(_BLOCK, axis=0)[: a.size]
-    per_segment = _SEGMENT // _BLOCK
-    # rows x segments: does the segment overlap a live block?
-    touched = np.logical_or.reduceat(live, np.arange(0, live.shape[1], per_segment), axis=1)
-    # a row whose first-segment bound, its largest, cannot prune skips the
-    # family
-    row_caps = caps[0] if caps else _row_caps(kappa, d1_lo, d1_hi, d2_max, config)
-    touched &= (row_caps > limit)[:, None]
-    seg_rows, seg_cols = np.nonzero(touched)
-    if seg_rows.size:
-        seg_live = np.ones_like(touched)
-        b_hi = _segment_ends(seg_cols, d2_max)
-        seg_live[seg_rows, seg_cols] = _segment_bound(kappa, a[seg_rows], b_hi, config) <= limit
-        live &= seg_live.repeat(per_segment, axis=1)[:, : live.shape[1]]
-    if not live.any():
-        return math.inf, 0, 0
     live = live.repeat(_BLOCK, axis=1)[:, : b.size]
     a_cells, b_cells = np.broadcast_arrays(a[:, None], b[None, :])
     return _min_cell(kappa, a_cells[live], b_cells[live], config)
@@ -269,34 +270,26 @@ def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, config: EvalConfig = DEFA
                  workers: Optional[int] = None) -> ProbeResult:
     """Exhaustive minimum of P(X <= kappa E[X]) over the capped integer grid.
 
-    Exhaustive means every cell is either evaluated or certified above the
-    minimum. The smallest cell of row d1 = 1 and column d2 = d2_max seeds
-    an incumbent; each 128-row stripe is tiled with 16 x 16 blocks and each
-    row with 64-column segments, and a cell is evaluated only if both its
-    block's and its segment's lower bound are at most the incumbent plus
-    twice reg_inc_beta's absolute error (REG_INC_BETA_ABS_ERR for the bound
-    and again for a cell). A skipped cell is thus strictly above the
-    incumbent, and the result is the exhaustive scan's, bit for bit. The
-    segment bound rests on the paper's theorem that the probe strictly
-    decreases in d2 for kappa <= 1, which verify.check_monotone_b tests on
-    its own sample; it is what prunes near kappa = 1, where the block bound
-    prunes nothing. A row whose first segment, the largest bound in the
-    row, cannot prune skips the segment bounds.
+    The smallest cell of row d1 = 1 and column d2 = d2_max seeds an
+    incumbent. One pass in the calling process marks live the cells whose
+    block and row-segment bounds (see the module docstring) are both at
+    most the incumbent plus twice reg_inc_beta's absolute error: once for
+    the bound, once for a cell. A skipped cell is thus strictly above the
+    incumbent, and the result is the exhaustive scan's, bit for bit.
 
-    Ties are broken toward the smallest d1, then the smallest d2. With
-    workers > 1 the stripes are evaluated in a process pool; the reduction
-    runs in fixed stripe order either way, so the result (and every
-    intermediate value) is independent of the worker count.
+    The live cells are evaluated in 128-row stripes, in a process pool when
+    workers > 1 and two or more stripes have live cells. Ties go to the
+    smallest d1, then the smallest d2, and the reduction runs in fixed
+    stripe order, so the result (and every intermediate value) is
+    independent of the worker count.
     """
     k = _check_kappa(kappa)
     seed = _seed(k, grid, config)
-    # the rows' first-segment bounds in one kernel call: the call's fixed
-    # cost, paid per stripe, makes the gate as dear as the family it skips
-    row_caps = _row_caps(k, 1, grid.d1_max, grid.d2_max, config)
+    live = _live_blocks(k, grid, seed[0] + _PRUNE_MARGIN, config)
     jobs = [
-        (lo, min(lo + _STRIPE_ROWS - 1, grid.d1_max), grid.d2_max, k, seed[0], config,
-         row_caps[lo - 1 : lo - 1 + _STRIPE_ROWS])
-        for lo in range(1, grid.d1_max + 1, _STRIPE_ROWS)
+        (lo + 1, rows, grid.d2_max, k, config)
+        for lo in range(0, grid.d1_max, _STRIPE_ROWS)
+        if (rows := live[lo : lo + _STRIPE_ROWS]).any()
     ]
     if workers is not None and workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -305,7 +298,7 @@ def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, config: EvalConfig = DEFA
         partials = [_scan_stripe(j) for j in jobs]
 
     # lexicographic (value, d1, d2) minimum; the seed is a grid cell too,
-    # and stands in for a stripe whose cells were all certified above it
+    # and stands alone when no stripe has a live cell (such a stripe is no job)
     best_val, best_d1, best_d2 = min(partials + [seed])
     return ProbeResult(kappa=k, grid_min=best_val, argmin_d1=best_d1, argmin_d2=best_d2, grid=grid)
 

@@ -109,7 +109,8 @@ class TestGridInfimum:
         for lo in range(0, grid.d1_max, 128):
             rows = slice(lo, min(lo + 128, grid.d1_max))
             expected = first_min(rows)
-            job = (lo + 1, rows.stop, grid.d2_max, kappa, expected[0], DEFAULT_CONFIG)
+            live = probe._live_blocks(kappa, grid, expected[0] + probe._PRUNE_MARGIN, DEFAULT_CONFIG)
+            job = (lo + 1, live[rows], grid.d2_max, kappa, DEFAULT_CONFIG)
             assert probe._scan_stripe(job) == expected
 
     @settings(max_examples=200, deadline=None)
@@ -164,32 +165,39 @@ class TestGridInfimum:
         seed_cells = grid.d1_max + grid.d2_max - 2  # row d1 = 1 and column d2 = d2_max
         assert sum(evaluated) - seed_cells < 0.01 * grid.d1_max * (grid.d2_max - 2)
 
-    @pytest.mark.parametrize("kappa", [0.9, 1.001, 1.05, 1.5])
-    def test_gated_stripes_find_their_own_minimum(self, monkeypatch, kappa):
-        # the jobs grid_infimum builds carry the batched first-segment
-        # bounds; with each stripe's own minimum as incumbent they must find
-        # that minimum, and agree with a job that computes its own bounds
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kappa=st.one_of(st.sampled_from(PROBE_KAPPAS), st.floats(0.5, 20.0)),
+        d1=st.integers(1, 1999),
+        d2_max=st.integers(3, 1999),
+        d2_cell=st.integers(3, 1999),
+    )
+    def test_certified_segments_are_the_prefix_above_limit(self, kappa, d1, d2_max, d2_cell):
+        # limit as the scan forms it: a real cell's value plus the margin
+        a = np.array([d1 / 2.0])
+        limit = prob_leq_kappa_mean(FParams(d1, min(d2_cell, d2_max)), kappa) + probe._PRUNE_MARGIN
+        cut = int(probe._certified_segments(kappa, a, d2_max, limit, DEFAULT_CONFIG)[0])
+        n_seg = -(-(d2_max - 2) // probe._SEGMENT)
+        bounds = probe._segment_bound(kappa, a, probe._segment_ends(np.arange(n_seg), d2_max), DEFAULT_CONFIG)
+        assert (bounds[:cut] > limit).all()
+        if cut < n_seg:
+            assert bounds[cut] <= limit
+
+    @pytest.mark.parametrize("kappa, pools", [(1.0, 0), (1.001, 1)])
+    def test_pool_starts_only_for_two_live_stripes(self, monkeypatch, kappa, pools):
+        # at kappa = 1 one stripe holds the few live cells, so the pool's
+        # start-up would cost more than the work it shares
         grid = GridSpec(300, 400)
-        jobs = []
-        scan = probe._scan_stripe
+        started = []
+        executor = probe.ProcessPoolExecutor
 
-        def recording(job):
-            jobs.append(job)
-            return scan(job)
+        def counting(*args, **kwargs):
+            started.append(1)
+            return executor(*args, **kwargs)
 
-        monkeypatch.setattr(probe, "_scan_stripe", recording)
-        grid_infimum(kappa, grid)
-        assert len(jobs) == 3
-        for job in jobs:
-            d1_lo, d1_hi = job[0], job[1]
-            d1, d2 = np.meshgrid(np.arange(d1_lo, d1_hi + 1), np.arange(3, grid.d2_max + 1), indexing="ij")
-            a, b = d1 / 2.0, d2 / 2.0
-            vals = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
-            i = int(np.argmin(vals))
-            expected = (float(vals.flat[i]), int(d1.flat[i]), int(d2.flat[i]))
-            own = job[:4] + (expected[0],) + job[5:]
-            assert scan(own) == expected
-            assert scan(own[:6]) == expected
+        monkeypatch.setattr(probe, "ProcessPoolExecutor", counting)
+        assert grid_infimum(kappa, grid, workers=2) == grid_infimum(kappa, grid)
+        assert len(started) == pools
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -197,14 +205,14 @@ class TestGridInfimum:
     )
     def test_worker_convergence_error_reaches_caller(self, monkeypatch):
         parent = os.getpid()
-        kernel = probe.reg_inc_beta
+        kernel = fdist.reg_inc_beta
 
         def fail_in_worker(x, a, b, config):
             if os.getpid() != parent:
                 raise ConvergenceError("forced failure", 7, (0.5, 1.0, 2.0))
             return kernel(x, a, b, config)
 
-        monkeypatch.setattr(probe, "reg_inc_beta", fail_in_worker)
+        monkeypatch.setattr(fdist, "reg_inc_beta", fail_in_worker)
         with pytest.raises(ConvergenceError) as err:
             grid_infimum(1.5, GridSpec(300, 40), workers=2)
         assert err.value.iterations == 7
