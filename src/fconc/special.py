@@ -296,23 +296,42 @@ def _converge(step, state, config, what, report):
 
 def _lentz(s, an, bn):
     """One modified-Lentz step for the next term an / (bn + ...) of a continued
-    fraction: advances s.d and s.c and returns the factor d * c."""
-    s.d = bn + an * s.d
-    s.d = np.where(np.abs(s.d) < _TINY, _TINY, s.d)
-    s.d = 1.0 / s.d
-    s.c = bn + an / s.c
-    s.c = np.where(np.abs(s.c) < _TINY, _TINY, s.c)
-    return s.d * s.c
+    fraction: advances s.d and s.c in place and returns the factor d * c."""
+    d, c = s.d, s.c
+    np.multiply(an, d, out=d)
+    np.add(bn, d, out=d)
+    np.copyto(d, _TINY, where=np.abs(d) < _TINY)
+    np.divide(1.0, d, out=d)
+    np.divide(an, c, out=c)
+    np.add(bn, c, out=c)
+    np.copyto(c, _TINY, where=np.abs(c) < _TINY)
+    return d * c
 
 
 def _beta_cf_step(s, m, tol):
-    # the even and the odd term of the incomplete-beta fraction
+    # the even and the odd term of the incomplete-beta fraction, each formed
+    # in one scratch numerator and one scratch denominator
     fm = float(m)
     m2 = 2.0 * fm
-    s.h = s.h * _lentz(s, fm * (s.b - fm) * s.x / ((s.qam + m2) * (s.a + m2)), 1.0)
-    delta = _lentz(s, -(s.a + fm) * (s.qab + fm) * s.x / ((s.a + m2) * (s.qap + m2)), 1.0)
-    s.h = s.h * delta
-    return np.abs(delta - 1.0) < tol
+    a_m2 = s.a + m2
+    num = s.b - fm
+    num *= fm
+    num *= s.x
+    den = s.qam + m2
+    den *= a_m2
+    num /= den
+    s.h *= _lentz(s, num, 1.0)
+    np.add(s.a, fm, out=num)
+    np.negative(num, out=num)
+    num *= s.qab + fm
+    num *= s.x
+    np.add(s.qap, m2, out=den)
+    np.multiply(a_m2, den, out=den)
+    num /= den
+    delta = _lentz(s, num, 1.0)
+    s.h *= delta
+    delta -= 1.0
+    return np.abs(delta, out=delta) < tol
 
 
 def _beta_cf(x, a, b, config, report):

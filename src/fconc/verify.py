@@ -3,8 +3,11 @@
 The oracle evaluates the defining beta integral by tanh-sinh (double
 exponential) quadrature, which absorbs the t^(a-1) endpoint singularity at
 a = 1/2 without any change of variable, and never touches the continued
-fraction it is used to check. On top of it sit the identity and
-monotonicity checks that back the library's claims:
+fraction it is used to check. It integrates a whole sample at once, as
+array passes over fixed-size chunks of integrals, with its own refinement
+loop: it shares no code with the continued-fraction path, not even its
+convergence loop. On top of it sit the identity and monotonicity checks
+that back the library's claims:
 
 * the b -> b+1 recurrence of the incomplete beta,
 * strict decrease of the probe in b for kappa <= 1,
@@ -46,6 +49,10 @@ DEFAULT_SEED = 1729
 # Cap on the tanh-sinh t-domain variable so exp(2z) stays a normal double.
 _Z_MAX = 340.0
 _KH_MAX = math.asinh(2.0 * _Z_MAX / math.pi)
+# Integrals per array pass of the oracle. Fewer rows pay numpy's per-call
+# overhead more often; more rows, or a whole sample at once, raise peak
+# memory.
+_ROWS = 64
 
 
 class QuadratureError(ConvergenceError):
@@ -60,60 +67,104 @@ def _ts_level_nodes(h, level):
     return np.arange(1, kmax + 1, 2, dtype=np.float64)  # odd k only: new nodes
 
 
-def _ts_log_integral(hi, am1, bm1, config):
-    """log of integral_0^hi t^am1 (1-t)^bm1 dt by adaptive tanh-sinh.
+def _ts_log_integrals(hi, am1, bm1, config):
+    """log of integral_0^hi t^am1 (1-t)^bm1 dt for each row, by adaptive tanh-sinh.
 
     Node positions are carried as exact distances from both interval ends,
     so integrable endpoint singularities (am1 or bm1 in (-1, 0]) are
-    evaluated accurately. The integrand is rescaled by its running maximum
-    log so that sums stay in range for sharply peaked (large a, b) cases.
-    """
-    halfspan = 0.5 * hi
-    onemhi = 1.0 - hi
-    rel_tol = max(config.quad_tolerance / 4.0, 4e-15)
+    evaluated accurately. Each row's integrand is rescaled by its running
+    maximum log so that sums stay in range for sharply peaked (large a, b)
+    cases. A row stops refining at the first level its log value moves by at
+    most the tolerance; a row that does not by quad_max_level is a
+    QuadratureError naming the first such row.
 
-    scale = -np.inf  # running max exponent M; integral = exp(log(S) + M)
-    total = 0.0
-    prev_log = None
+    Each row gets the bits a one-row call gives: the per-row columns
+    broadcast against the nodes of a level, each node sum runs along the
+    contiguous axis, and the per-row exp and log are Python's math (numpy's
+    vector loops can round differently).
+    """
+    rel_tol = max(config.quad_tolerance / 4.0, 4e-15)
+    out = np.empty(hi.size)
+    idx = np.arange(hi.size)  # rows still refining
+    halfspan = (0.5 * hi)[:, None]
+    onemhi = (1.0 - hi)[:, None]
+    am1c, bm1c = am1[:, None], bm1[:, None]
+    scale = np.full(hi.size, -np.inf)  # running max exponent M; integral = exp(log(S) + M)
+    total = np.zeros(hi.size)
+    prev = np.full(hi.size, np.nan)  # no earlier level: never within tolerance
 
     for level in range(config.quad_max_level + 1):
         h = 0.5 ** level
         ks = _ts_level_nodes(h, level)
         kh = ks * h
         z = (0.5 * math.pi) * np.sinh(kh)
-        w = h * halfspan * (0.5 * math.pi) * np.cosh(kh) / np.cosh(z) ** 2
+        cosh_kh = np.cosh(kh)
+        cosh_z2 = np.cosh(z) ** 2
         e2z = np.exp(2.0 * z)
+        w = h * halfspan * (0.5 * math.pi) * cosh_kh / cosh_z2
         dlo_pos = 2.0 * halfspan * (e2z / (1.0 + e2z))  # distance from 0 at +k
         dhi_pos = 2.0 * halfspan / (1.0 + e2z)          # distance from hi at +k
 
         # nodes at -k mirror the distances
-        dlo = np.concatenate([dlo_pos, dhi_pos[1:] if level == 0 else dhi_pos])
-        dhi = np.concatenate([dhi_pos, dlo_pos[1:] if level == 0 else dlo_pos])
-        ww = np.concatenate([w, w[1:] if level == 0 else w])
+        mirror = slice(1 if level == 0 else 0, None)
+        dlo = np.concatenate([dlo_pos, dhi_pos[:, mirror]], axis=1)
+        dhi = np.concatenate([dhi_pos, dlo_pos[:, mirror]], axis=1)
+        ww = np.concatenate([w, w[:, mirror]], axis=1)
 
         # clamp keeps log finite if a distance denormalizes; those nodes
         # carry weights ~exp(-2z) and contribute nothing either way
-        expo = am1 * np.log(np.maximum(dlo, 1e-300)) + bm1 * np.log(np.maximum(onemhi + dhi, 1e-300))
-        m = float(np.max(expo))
-        if m > scale:
-            if np.isfinite(scale):
-                total *= math.exp(scale - m)
-            scale = m
+        expo = am1c * np.log(np.maximum(dlo, 1e-300)) + bm1c * np.log(np.maximum(onemhi + dhi, 1e-300))
+        m = expo.max(axis=1)
+        for r in np.flatnonzero(m > scale):
+            if np.isfinite(scale[r]):
+                total[r] *= math.exp(scale[r] - m[r])
+            scale[r] = m[r]
         # h is baked into ww, so halving h halves the carried-over sum
-        total = 0.5 * total if level > 0 else 0.0
-        total += float(np.sum(np.exp(expo - scale) * ww))
+        total = 0.5 * total + np.sum(np.exp(expo - scale[:, None]) * ww, axis=1)
 
-        log_val = math.log(total) + scale
-        if prev_log is not None and abs(log_val - prev_log) <= rel_tol:
-            return log_val
-        prev_log = log_val
+        log_val = np.array([math.log(t) + s for t, s in zip(total.tolist(), scale.tolist())])
+        done = np.abs(log_val - prev) <= rel_tol
+        prev = log_val
+        if done.any():
+            out[idx[done]] = log_val[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            idx, scale, total, prev = idx[keep], scale[keep], total[keep], prev[keep]
+            halfspan, onemhi, am1c, bm1c = halfspan[keep], onemhi[keep], am1c[keep], bm1c[keep]
 
+    i = idx[0]
+    args = (float(hi[i]), float(am1[i]) + 1.0, float(bm1[i]) + 1.0)
     raise QuadratureError(
         f"tanh-sinh refinement cap {config.quad_max_level} reached "
-        f"(hi={hi!r}, a={am1 + 1.0!r}, b={bm1 + 1.0!r})",
+        f"(hi={args[0]!r}, a={args[1]!r}, b={args[2]!r})",
         config.quad_max_level,
-        args_at_failure=(hi, am1 + 1.0, bm1 + 1.0),
+        args_at_failure=args,
     )
+
+
+def _quad_inc_beta(x, a, b, config):
+    """quad_inc_beta over equal-length 1-D arrays, as one batch of integrals.
+
+    Each sample with 0 < x < 1 gives two rows, its partial integral (hi = x)
+    and then its complete one (hi = 1.0). Rows are integrated _ROWS at a
+    time, in order, so a failure names the integral a per-sample loop would
+    fail on first.
+    """
+    if not ((0.0 <= x) & (x <= 1.0)).all():
+        raise ValueError("quad_inc_beta requires 0 <= x <= 1")
+    if ((a < 0.5) | (b <= 0.0)).any():
+        raise ValueError("quad_inc_beta requires a >= 0.5 and b > 0")
+    out = np.where(x == 1.0, 1.0, 0.0)
+    inner = np.flatnonzero((x > 0.0) & (x < 1.0))
+    hi = np.column_stack([x[inner], np.ones(inner.size)]).ravel()
+    am1, bm1 = np.repeat(a[inner] - 1.0, 2), np.repeat(b[inner] - 1.0, 2)
+    logs = np.empty(hi.size)
+    for lo in range(0, hi.size, _ROWS):
+        rows = slice(lo, lo + _ROWS)
+        logs[rows] = _ts_log_integrals(hi[rows], am1[rows], bm1[rows], config)
+    out[inner] = [min(1.0, math.exp(num - den)) for num, den in logs.reshape(-1, 2).tolist()]
+    return out
 
 
 def quad_inc_beta(x, a, b, config: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -121,20 +172,12 @@ def quad_inc_beta(x, a, b, config: EvalConfig = DEFAULT_CONFIG) -> float:
 
     Both the partial and the complete beta integral are evaluated by
     quadrature, so the result shares nothing with the continued-fraction
-    path (not even the log-Beta prefactor).
+    path (not even the log-Beta prefactor). ``check_oracle_agreement``
+    evaluates a whole sample with the same kernel in one batch, and gets
+    the value this function gives for each of its rows.
     """
     x, a, b = float(x), float(a), float(b)
-    if not (0.0 <= x <= 1.0):
-        raise ValueError("quad_inc_beta requires 0 <= x <= 1")
-    if a < 0.5 or b <= 0.0:
-        raise ValueError("quad_inc_beta requires a >= 0.5 and b > 0")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    log_num = _ts_log_integral(x, a - 1.0, b - 1.0, config)
-    log_den = _ts_log_integral(1.0, a - 1.0, b - 1.0, config)
-    return min(1.0, math.exp(log_num - log_den))
+    return float(_quad_inc_beta(np.array([x]), np.array([a]), np.array([b]), config)[0])
 
 
 @dataclass(frozen=True)
@@ -342,10 +385,8 @@ def check_oracle_agreement(sample, tol: float = 1e-9, config: EvalConfig = DEFAU
     """|continued fraction - tanh-sinh quadrature| on (x, a, b) triples."""
     x, a, b = _sample_columns(sample)
     cf_vals = reg_inc_beta(x, a, b, config)
-    worst = 0.0
-    for i in range(x.size):
-        q = quad_inc_beta(x[i], a[i], b[i], config)
-        worst = max(worst, abs(q - float(cf_vals[i])))
+    # np.max keeps a NaN residual, which CheckResult then rejects
+    worst = float(np.max(np.abs(_quad_inc_beta(x, a, b, config) - cf_vals)))
     return CheckResult(
         name="oracle-agreement",
         samples=int(x.size),

@@ -250,6 +250,16 @@ class TestConfigFile:
         assert p.returncode == 3
         assert "convergence failure" in p.stderr
 
+    def test_oracle_failure_names_first_failing_integral(self, tmp_path):
+        # the per-sample loop failed first on this sample's complete integral;
+        # the batched oracle must name the same one, in Python floats
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text("quad_tolerance=1e-12\nquad_max_level=5\n")
+        p = run_cli("verify", "--profile", "quick", "--config", str(cfg))
+        assert p.returncode == 3
+        assert "(hi=1.0, a=782.0278306273453, b=8.044188364930141)" in p.stderr
+        assert "np.float64(" not in p.stderr
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_nonpositive_workers_usage_error(self, tmp_path, workers):
         cfg = tmp_path / "workers.cfg"

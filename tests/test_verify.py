@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,14 @@ class TestQuadIncBeta:
         with pytest.raises(QuadratureError) as err:
             quad_inc_beta(0.5, 1500.0, 1500.0, cfg)
         assert err.value.iterations == 5
+
+    @pytest.mark.parametrize(
+        "x, a, b",
+        [(0.5, 1.0, 1.0), (0.3, 0.5, 2.0), (8.0 / 8.5, 0.5, 1.5), (0.0, 1.0, 2.0), (1.0, 1.0, 2.0),
+         (0.5, 800.0, 800.0)],
+    )
+    def test_equals_scalar_loop(self, x, a, b):
+        assert quad_inc_beta(x, a, b).hex() == _quad_ref(x, a, b).hex()
 
 
 class TestCheckRecurrence:
@@ -330,11 +339,136 @@ def test_checks_equal_per_pair_loops_on_full_suite(monkeypatch, seed):
         assert type(result.samples) is int and type(result.passed) is bool
 
 
+def _ts_log_integral_ref(hi, am1, bm1, config):
+    # reference: the one-integral tanh-sinh loop, with Python floats per step
+    halfspan = 0.5 * hi
+    onemhi = 1.0 - hi
+    rel_tol = max(config.quad_tolerance / 4.0, 4e-15)
+    scale, total, prev_log = -np.inf, 0.0, None
+    for level in range(config.quad_max_level + 1):
+        h = 0.5 ** level
+        ks = fconc.verify._ts_level_nodes(h, level)
+        kh = ks * h
+        z = (0.5 * math.pi) * np.sinh(kh)
+        w = h * halfspan * (0.5 * math.pi) * np.cosh(kh) / np.cosh(z) ** 2
+        e2z = np.exp(2.0 * z)
+        dlo_pos = 2.0 * halfspan * (e2z / (1.0 + e2z))
+        dhi_pos = 2.0 * halfspan / (1.0 + e2z)
+        dlo = np.concatenate([dlo_pos, dhi_pos[1:] if level == 0 else dhi_pos])
+        dhi = np.concatenate([dhi_pos, dlo_pos[1:] if level == 0 else dlo_pos])
+        ww = np.concatenate([w, w[1:] if level == 0 else w])
+        expo = am1 * np.log(np.maximum(dlo, 1e-300)) + bm1 * np.log(np.maximum(onemhi + dhi, 1e-300))
+        m = float(np.max(expo))
+        if m > scale:
+            if np.isfinite(scale):
+                total *= math.exp(scale - m)
+            scale = m
+        total = 0.5 * total if level > 0 else 0.0
+        total += float(np.sum(np.exp(expo - scale) * ww))
+        log_val = math.log(total) + scale
+        if prev_log is not None and abs(log_val - prev_log) <= rel_tol:
+            return log_val
+        prev_log = log_val
+    raise QuadratureError(
+        f"tanh-sinh refinement cap {config.quad_max_level} reached "
+        f"(hi={hi!r}, a={am1 + 1.0!r}, b={bm1 + 1.0!r})",
+        config.quad_max_level,
+        args_at_failure=(hi, am1 + 1.0, bm1 + 1.0),
+    )
+
+
+def _quad_ref(x, a, b, config=DEFAULT_CONFIG):
+    # reference: one sample's oracle value as two scalar integrals
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    log_num = _ts_log_integral_ref(x, a - 1.0, b - 1.0, config)
+    log_den = _ts_log_integral_ref(1.0, a - 1.0, b - 1.0, config)
+    return min(1.0, math.exp(log_num - log_den))
+
+
+def _oracle_loop(sample, tol=1e-9, config=DEFAULT_CONFIG):
+    # reference: one scalar oracle call per sample, reduced in a Python loop
+    s = np.asarray(sample, dtype=np.float64)
+    cf_vals = reg_inc_beta(s[:, 0], s[:, 1], s[:, 2], config)
+    worst = 0.0
+    for (x, a, b), cf in zip(s.tolist(), cf_vals.tolist()):
+        worst = max(worst, abs(_quad_ref(x, a, b, config) - cf))
+    return CheckResult(
+        name="oracle-agreement", samples=len(s), max_residual=worst,
+        passed=worst <= tol, detail=f"continued fraction vs quadrature within {tol:g}",
+    )
+
+
+@pytest.mark.parametrize("seed", [1729, 7, 19, 43])
+def test_oracle_equals_per_sample_loop_on_full_suite(monkeypatch, seed):
+    # every batched oracle value, and the report, bit for bit on the sample
+    # the full suite draws; at seeds 19 and 43 numpy's vector log rounds one
+    # integral differently from math.log on AVX-512 machines
+    calls = []
+
+    def record(sample, *args, **kwargs):
+        result = check_oracle_agreement(sample, *args, **kwargs)
+        calls.append((sample, args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(fconc.verify, "check_oracle_agreement", record)
+    run_suite("full", seed=seed)
+    [(sample, args, kwargs, result)] = calls
+    x, a, b = np.asarray(sample).T
+    values = fconc.verify._quad_inc_beta(x, a, b, DEFAULT_CONFIG)
+    refs = [_quad_ref(*row) for row in zip(x.tolist(), a.tolist(), b.tolist())]
+    assert [v.hex() for v in values.tolist()] == [r.hex() for r in refs]
+    ref = _oracle_loop(sample, *args, **kwargs)
+    assert result == ref
+    assert result.max_residual.hex() == ref.max_residual.hex()
+
+
 class TestOracleAgreement:
     def test_sampled_agreement(self):
         r = check_oracle_agreement(seeded_triples(5, 60, 0.5, 2000.0))
         assert r.passed
         assert r.max_residual <= 1e-9
+
+    def test_failure_names_first_failing_integral(self):
+        # 36 converging samples fill the first 64-row chunk and spill into the
+        # second; then one sample fails on its complete integral and the next
+        # on its partial one. The per-sample loop fails on the former first.
+        cfg = EvalConfig(quad_tolerance=1e-12, quad_max_level=5)
+        s = seeded_triples(5, 60, 0.5, 2000.0)
+        sample = np.concatenate([np.tile(s[1:5], (9, 1)), s[[5, 0]]])
+        with pytest.raises(QuadratureError) as ref:
+            _oracle_loop(sample, config=cfg)
+        with pytest.raises(QuadratureError) as err:
+            check_oracle_agreement(sample, config=cfg)
+        assert ref.value.args_at_failure[0] == 1.0
+        assert err.value.args_at_failure == ref.value.args_at_failure
+        assert all(type(v) is float for v in err.value.args_at_failure)
+        assert str(err.value) == str(ref.value)
+        assert err.value.iterations == 5
+
+    def test_endpoint_samples_are_exact(self):
+        ones = np.ones(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = fconc.verify._quad_inc_beta(np.array([0.0, 0.3, 1.0]), 2.0 * ones, 3.0 * ones, DEFAULT_CONFIG)
+            ends = fconc.verify._quad_inc_beta(np.array([1.0, 0.0]), ones[:2], ones[:2], DEFAULT_CONFIG)
+            r = check_oracle_agreement([(0.0, 2.0, 3.0), (1.0, 2.0, 3.0)])
+        assert [v.hex() for v in q.tolist()] == [0.0.hex(), _quad_ref(0.3, 2.0, 3.0).hex(), 1.0.hex()]
+        assert [v.hex() for v in ends.tolist()] == [1.0.hex(), 0.0.hex()]
+        assert r.passed and r.max_residual == 0.0
+
+    def test_nan_continued_fraction_value_fails(self, monkeypatch):
+        # a Python max() reduction from 0.0 dropped the NaN and passed
+        def one_nan(x, a, b, config=DEFAULT_CONFIG):
+            vals = reg_inc_beta(x, a, b, config)
+            vals[3] = math.nan
+            return vals
+
+        monkeypatch.setattr(fconc.verify, "reg_inc_beta", one_nan)
+        with pytest.raises(ValueError, match="oracle-agreement: residual must be finite"):
+            check_oracle_agreement(seeded_triples(5, 10, 0.5, 2000.0))
 
 
 class TestReportAndSuite:
