@@ -3,8 +3,9 @@
 Exhaustive means every cell is either evaluated or certified above the
 minimum, with a margin of twice the incomplete beta's absolute error, so the
 result matches evaluating every cell bit for bit. Far from kappa = 1 the
-certificate is a lower bound on the cell's 16 x 16 block. Near kappa = 1,
-where that bound is too loose, the scan still prunes: it bounds a 64-cell run
+certificate is a lower bound on the cell's 16 x 16 block, or, inside a
+16 x 16 block that bound could not skip, on its 4 x 4 block. Near kappa = 1,
+where block bounds are too loose, the scan still prunes: it bounds a 64-cell run
 of a row by the probe at min(kappa, 1) in the run's last cell. That rests on
 the paper's theorem that the probe strictly decreases in d2 for kappa <= 1,
 which `fconc verify` (check_monotone_b) tests on its own sample.

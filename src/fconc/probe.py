@@ -7,16 +7,18 @@ Three ingredients:
   either evaluated or certified above the minimum by one of two lower
   bounds. Block bound: I_x(a, b) increases in x and b and decreases in a
   (DLMF 8.17), and q = ka/(ka+b-1) increases in a and decreases in b, so
-  I_{q(a_lo, b_hi)}(a_hi, b_lo) bounds a 16 x 16 block of cells. Segment
-  bound: q increases in kappa, so P_kappa >= P_min(kappa, 1) cell by cell,
-  and by the paper's theorem P_k' strictly decreases in b for k' <= 1, so
-  P_min(kappa, 1)(a, b_hi) bounds every cell of a row up to b_hi: a row's
-  certified 64-column segments are a prefix, found by bisection. The block
-  bound prunes far from kappa = 1, the segment bound near it. A cell is
-  skipped only when a bound exceeds an evaluated cell's value by more than
-  twice reg_inc_beta's absolute error, so a skipped cell can be neither the
-  minimum nor tied with it. Exhaustiveness thus also rests on the theorem,
-  which verify.check_monotone_b tests on its own sample;
+  I_{q(a_lo, b_hi)}(a_hi, b_lo) bounds a block of cells. It is taken on
+  16 x 16 blocks, then on the 4 x 4 blocks inside the 16 x 16 ones it did
+  not certify. Segment bound: q increases in kappa, so P_kappa >=
+  P_min(kappa, 1) cell by cell, and by the paper's theorem P_k' strictly
+  decreases in b for k' <= 1, so P_min(kappa, 1)(a, b_hi) bounds every cell
+  of a row up to b_hi: a row's certified 64-column segments are a prefix,
+  found by bisection. The block bounds prune far from kappa = 1, the
+  segment bound near it. A cell is skipped only when a bound exceeds an
+  evaluated cell's value by more than twice reg_inc_beta's absolute error,
+  so a skipped cell can be neither the minimum nor tied with it.
+  Exhaustiveness thus also rests on the theorem, which
+  verify.check_monotone_b tests on its own sample;
 * the b -> infinity limit curve g_kappa(a) = P(a, kappa*a), whose minimum
   over an a-grid is the second infimum candidate;
 * the closed-form answers for kappa <= 1 (0 below 1, 1/2 at 1, neither
@@ -74,14 +76,18 @@ FLAG_CONJECTURE_REGIME = "conjecture-kappa-gt-1"
 # faster.
 _STRIPE_ROWS = 128
 
-# Side of the square blocks that share one lower bound. 16 keeps the bound
-# calls under 0.4% of the cells, so a stripe where nothing prunes costs
-# about what an unpruned scan does.
-_BLOCK = 16
+# Sides of the square blocks that share one lower bound, coarse to fine; each
+# divides the one before it. The 16 x 16 level bounds every block with a cell
+# past its rows' certified segments, one element per 256 cells; the 4 x 4
+# level bounds only the blocks inside the surviving 16 x 16 ones, one
+# element per 16 cells, and cuts the evaluated cells 3-8x far from
+# kappa = 1. Counting bound elements plus cells at full caps, side 4 beat
+# sides 8 and 2 at kappa = 1.05, 1.5 and 16.
+_BLOCKS = (16, 4)
 
-# Width of the row segments that share one lower bound: four blocks, so a
-# segment's liveness is read off the block bounds it spans.
-_SEGMENT = 4 * _BLOCK
+# Width of the row segments that share one lower bound: four coarse blocks,
+# so segment ends fall on block edges at every level.
+_SEGMENT = 4 * _BLOCKS[0]
 
 # A bound and a cell are each within REG_INC_BETA_ABS_ERR of their exact
 # values, so a block or segment whose bound exceeds the incumbent by more
@@ -221,38 +227,48 @@ def _certified_segments(kappa, a, d2_max, limit, config):
 
 
 def _live_blocks(kappa, grid, limit, config):
-    """Grid rows x 16-column blocks: True where the row's cells in the block
-    lie past its certified segments and the block bound, taken in one call
-    on the blocks holding such a cell, is at most limit."""
+    """Grid rows x 4-column blocks: True where the row's cells in the block
+    lie past its certified segments and the bounds of the 16 x 16 and the
+    4 x 4 block holding them are both at most limit.
+
+    Each level takes its bounds in one call, only on the blocks that hold a
+    cell past their rows' certified segments and lie inside a live block of
+    the level before.
+    """
     a = np.arange(1, grid.d1_max + 1, dtype=np.int64) / 2.0
     b = np.arange(3, grid.d2_max + 1, dtype=np.int64) / 2.0
-    # first uncertified block of each row; a segment spans whole blocks
-    first = _certified_segments(kappa, a, grid.d2_max, limit, config) * (_SEGMENT // _BLOCK)
-    cols = np.arange(-(-b.size // _BLOCK))
-    # a block has a cell past the cut iff its row with the smallest cut does
-    bounded = cols >= np.minimum.reduceat(first, np.arange(0, a.size, _BLOCK))[:, None]
-    rows, blocks = np.nonzero(bounded)
-    a_lo, b_lo = a[::_BLOCK][rows], b[::_BLOCK][blocks]
-    half_side = (_BLOCK - 1) / 2.0
-    bound = np.full(bounded.shape, math.inf)
-    bound[rows, blocks] = _block_bound(
-        kappa, a_lo, np.minimum(a_lo + half_side, a[-1]), b_lo, np.minimum(b_lo + half_side, b[-1]), config
-    )
-    return (bound <= limit).repeat(_BLOCK, axis=0)[: a.size] & (cols >= first[:, None])
+    segments = _certified_segments(kappa, a, grid.d2_max, limit, config)
+    outer = _BLOCKS[0]
+    live = np.ones((-(-a.size // outer), -(-b.size // outer)), dtype=bool)
+    for side in _BLOCKS:
+        # first uncertified block of each row; a segment spans whole blocks
+        first = segments * (_SEGMENT // side)
+        n = outer // side
+        live = live.repeat(n, axis=0).repeat(n, axis=1)[: -(-a.size // side), : -(-b.size // side)]
+        # a block has a cell past the cut iff its row with the smallest cut does
+        live &= np.arange(live.shape[1]) >= np.minimum.reduceat(first, np.arange(0, a.size, side))[:, None]
+        rows, blocks = np.nonzero(live)
+        a_lo, b_lo = a[::side][rows], b[::side][blocks]
+        half_side = (side - 1) / 2.0
+        live[rows, blocks] = _block_bound(
+            kappa, a_lo, np.minimum(a_lo + half_side, a[-1]), b_lo, np.minimum(b_lo + half_side, b[-1]), config
+        ) <= limit
+        outer = side
+    return live.repeat(side, axis=0)[: a.size] & (np.arange(live.shape[1]) >= first[:, None])
 
 
 def _scan_stripe(args):
     """(value, d1, d2) of the smallest live cell of one stripe.
 
     args is (d1_lo, live_rows, d2_max, kappa, config), where live_rows is the
-    stripe's slice of _live_blocks's mask and d1_lo its first row. Cells are
-    gathered in row-major order, so the first-occurrence argmin gives the
-    smallest d1, then smallest d2, among exact ties.
+    stripe's slice of _live_blocks's rows x 4-column mask and d1_lo its first
+    row. Cells are gathered in row-major order, so the first-occurrence
+    argmin gives the smallest d1, then smallest d2, among exact ties.
     """
     d1_lo, live, d2_max, kappa, config = args
     a = np.arange(d1_lo, d1_lo + live.shape[0], dtype=np.int64) / 2.0
     b = np.arange(3, d2_max + 1, dtype=np.int64) / 2.0
-    live = live.repeat(_BLOCK, axis=1)[:, : b.size]
+    live = live.repeat(_BLOCKS[-1], axis=1)[:, : b.size]
     a_cells, b_cells = np.broadcast_arrays(a[:, None], b[None, :])
     return _min_cell(kappa, a_cells[live], b_cells[live], config)
 
@@ -272,10 +288,11 @@ def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, config: EvalConfig = DEFA
 
     The smallest cell of row d1 = 1 and column d2 = d2_max seeds an
     incumbent. One pass in the calling process marks live the cells whose
-    block and row-segment bounds (see the module docstring) are both at
-    most the incumbent plus twice reg_inc_beta's absolute error: once for
-    the bound, once for a cell. A skipped cell is thus strictly above the
-    incumbent, and the result is the exhaustive scan's, bit for bit.
+    block bounds, at both levels, and row-segment bound (see the module
+    docstring) are all at most the incumbent plus twice reg_inc_beta's
+    absolute error: once for the bound, once for a cell. A skipped cell is
+    thus strictly above the incumbent, and the result is the exhaustive
+    scan's, bit for bit.
 
     The live cells are evaluated in 128-row stripes, in a process pool when
     workers > 1 and two or more stripes have live cells. Ties go to the

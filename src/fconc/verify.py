@@ -153,6 +153,10 @@ def _quad_inc_beta(x, a, b, config):
     """
     if not ((0.0 <= x) & (x <= 1.0)).all():
         raise ValueError("quad_inc_beta requires 0 <= x <= 1")
+    # NaN passes the range test below and inf passes it; either would run
+    # the refinement to its cap and fail as a convergence error
+    if not (np.isfinite(a) & np.isfinite(b)).all():
+        raise ValueError("quad_inc_beta requires a and b to be finite")
     if ((a < 0.5) | (b <= 0.0)).any():
         raise ValueError("quad_inc_beta requires a >= 0.5 and b > 0")
     out = np.where(x == 1.0, 1.0, 0.0)

@@ -165,6 +165,75 @@ class TestGridInfimum:
         seed_cells = grid.d1_max + grid.d2_max - 2  # row d1 = 1 and column d2 = d2_max
         assert sum(evaluated) - seed_cells < 0.01 * grid.d1_max * (grid.d2_max - 2)
 
+    @pytest.mark.parametrize("kappa, share", [(1.5, 0.20), (3.005, 0.07), (16.0, 0.045)])
+    def test_fine_blocks_prune_far_from_one(self, monkeypatch, kappa, share):
+        # a count, so deterministic: with 16 x 16 blocks alone the stripe
+        # scans evaluate 40%, 14% and 9.1% of the grid here, and the 4 x 4
+        # level inside the surviving blocks cuts that to 9.9%, 3.5% and 1.2%
+        grid = GridSpec(300, 400)
+        evaluated = []
+        min_cell = probe._min_cell
+
+        def counting(kappa, a, b, config):
+            evaluated.append(a.size)
+            return min_cell(kappa, a, b, config)
+
+        monkeypatch.setattr(probe, "_min_cell", counting)
+        grid_infimum(kappa, grid)
+        seed_cells = grid.d1_max + grid.d2_max - 2  # row d1 = 1 and column d2 = d2_max
+        assert sum(evaluated) - seed_cells < share * grid.d1_max * (grid.d2_max - 2)
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.00005, 1.001])
+    def test_pruning_pass_spends_nothing_on_certified_cells(self, monkeypatch, kappa):
+        # one bound call per block level; each block it bounds ends inside
+        # the grid and holds a cell the row-segment bound left uncertified,
+        # and no certified cell is live. Near kappa = 1 the rows' certified
+        # prefixes differ, so blocks straddle them
+        grid = GridSpec(300, 400)
+        limit = probe._seed(kappa, grid, DEFAULT_CONFIG)[0] + probe._PRUNE_MARGIN
+        a = np.arange(1, grid.d1_max + 1) / 2.0
+        b = np.arange(3, grid.d2_max + 1) / 2.0
+        segments = probe._certified_segments(kappa, a, grid.d2_max, limit, DEFAULT_CONFIG)
+        certified_to = probe._segment_ends(segments - 1, grid.d2_max)  # b = 1 when none
+        taken = []
+        block_bound = probe._block_bound
+
+        def recording(kappa, a_lo, a_hi, b_lo, b_hi, config):
+            taken.append((a_lo, a_hi, b_hi))
+            return block_bound(kappa, a_lo, a_hi, b_lo, b_hi, config)
+
+        monkeypatch.setattr(probe, "_block_bound", recording)
+        live = probe._live_blocks(kappa, grid, limit, DEFAULT_CONFIG)
+        assert len(taken) == len(probe._BLOCKS)
+        for a_lo, a_hi, b_hi in taken:
+            assert (a_hi <= a[-1]).all() and (b_hi <= b[-1]).all()
+            rows = zip((2.0 * a_lo).astype(int) - 1, (2.0 * a_hi).astype(int))
+            least = np.array([certified_to[lo:hi].min() for lo, hi in rows])
+            assert (b_hi > least).all()
+        live_cells = live.repeat(probe._BLOCKS[-1], axis=1)[:, : b.size]
+        assert not (live_cells & (b <= certified_to[:, None])).any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kappa=st.one_of(st.sampled_from(PROBE_KAPPAS), st.floats(0.5, 20.0)),
+        # caps off the block sides, so both levels have clamped edge blocks
+        d1_max=st.integers(1, 80).filter(lambda n: n % 4),
+        d2_max=st.integers(3, 90).filter(lambda n: (n - 2) % 4),
+        d1_cell=st.integers(1, 80),
+        d2_cell=st.integers(3, 90),
+    )
+    def test_pruned_cells_lie_above_limit(self, kappa, d1_max, d2_max, d1_cell, d2_cell):
+        # limit as the scan forms it: a real cell's value plus the margin;
+        # every cell the pruning pass leaves out must lie strictly above it
+        value = prob_leq_kappa_mean(FParams(min(d1_cell, d1_max), min(d2_cell, d2_max)), kappa)
+        grid = GridSpec(d1_max, d2_max)
+        live = probe._live_blocks(kappa, grid, value + probe._PRUNE_MARGIN, DEFAULT_CONFIG)
+        a = np.arange(1, d1_max + 1)[:, None] / 2.0
+        b = np.arange(3, d2_max + 1)[None, :] / 2.0
+        cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
+        pruned = ~live.repeat(probe._BLOCKS[-1], axis=1)[:, : b.size]
+        assert (cells[pruned] > value).all()
+
     @settings(max_examples=200, deadline=None)
     @given(
         kappa=st.one_of(st.sampled_from(PROBE_KAPPAS), st.floats(0.5, 20.0)),

@@ -58,6 +58,15 @@ class TestQuadIncBeta:
         with pytest.raises(ValueError):
             quad_inc_beta(0.5, 0.3, 1.0)
 
+    @pytest.mark.parametrize("a, b", [(0.5, math.nan), (math.nan, 1.0), (math.inf, 1.0), (0.5, math.inf)])
+    def test_non_finite_shape_is_domain_error(self, a, b):
+        # unchecked, each refines to the cap and fails as a QuadratureError,
+        # a NaN a after RuntimeWarnings: a domain error, not a convergence one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="a and b to be finite"):
+                quad_inc_beta(0.5, a, b)
+
     def test_refinement_cap_error(self):
         cfg = EvalConfig(quad_tolerance=1e-12, quad_max_level=5)
         with pytest.raises(QuadratureError) as err:
