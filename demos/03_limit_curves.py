@@ -9,11 +9,9 @@ so the infimum problem splits into one curve per kappa:
     positive interior minimum.
 """
 
-import numpy as np
+from fconc import FParams, default_a_grid, limit_b, limit_curve_min, prob_leq_kappa_mean
 
-from fconc import FParams, limit_b, limit_curve_min, prob_leq_kappa_mean
-
-a = np.concatenate([np.arange(1, 2001) / 2.0, np.geomspace(1000.0, 10000.0, 61)[1:]])
+a = default_a_grid()
 
 print("minimum of g_kappa over a in [0.5, 1e4]:")
 for kappa in (0.5, 0.9, 1.0, 1.05, 1.5, 3.0):

@@ -10,8 +10,8 @@ Subcommands
     verify   run the identity/monotonicity verification suite
 
 Machine formats print probabilities with 15 significant digits; CSV columns
-are kappa,inf_value,d1,d2,limit_min,limit_argmin_a,flags (flags joined with
-';'). Flags come from a closed set:
+and JSON fields are kappa,inf_value,d1,d2,limit_min,limit_argmin_a,flags
+(CSV joins flags with ';'). Flags come from a closed set:
 
     exact-infimum-not-attained   kappa <= 1: closed-form infimum, not attained
     conjecture-kappa-gt-1        kappa > 1: infimum only conjectured > 1/2
@@ -21,9 +21,10 @@ are kappa,inf_value,d1,d2,limit_min,limit_argmin_a,flags (flags joined with
 Exit codes: 0 success, 1 verification/assertion failure, 2 usage error,
 3 numerical convergence failure, 4 a pool worker process died (killed, or
 out of memory) before returning its stripe. A --workers (or config
-``workers``) below 1 is a usage error, and so is a kappa whose product with
-the largest shape the command forms is not finite; a convergence failure
-inside a pool worker still exits with 3.
+``workers``) below 1 is a usage error, and so are a kappa whose product with
+the largest shape the command forms is not finite, a --config or --out path
+that cannot be opened, a config file that is not UTF-8, and a negative
+--seed; a convergence failure inside a pool worker still exits with 3.
 """
 
 from __future__ import annotations
@@ -94,99 +95,80 @@ def _round15(v) -> float:
     return float(_fmt15(v))
 
 
-def _records_csv(results) -> str:
+def _records(results, fmt) -> str:
+    """CSV or JSON text of results, fields in CSV_HEADER order."""
     # inf_value is the grid minimum (it belongs to the d1/d2 argmin columns);
     # min(inf_value, limit_min) recovers the combined estimate
-    lines = [CSV_HEADER]
-    for r in results:
-        lines.append(
-            ",".join(
-                [
-                    _fmt15(r.kappa),
-                    _fmt15(r.grid_min),
-                    str(r.argmin_d1),
-                    str(r.argmin_d2),
-                    "" if r.limit_min is None else _fmt15(r.limit_min),
-                    "" if r.limit_argmin_a is None else _fmt15(r.limit_argmin_a),
-                    ";".join(r.flags),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _records_json(results) -> str:
-    out = []
-    for r in results:
-        out.append(
-            {
-                "kappa": _round15(r.kappa),
-                "inf_value": _round15(r.grid_min),
-                "d1": r.argmin_d1,
-                "d2": r.argmin_d2,
-                "limit_min": None if r.limit_min is None else _round15(r.limit_min),
-                "limit_argmin_a": None if r.limit_argmin_a is None else _round15(r.limit_argmin_a),
-                "flags": list(r.flags),
-            }
-        )
-    return json.dumps(out, indent=2) + "\n"
+    num, missing, join = (_round15, None, list) if fmt == "json" else (_fmt15, "", ";".join)
+    rows = [
+        [
+            num(r.kappa), num(r.grid_min), r.argmin_d1, r.argmin_d2,
+            missing if r.limit_min is None else num(r.limit_min),
+            missing if r.limit_argmin_a is None else num(r.limit_argmin_a),
+            join(r.flags),
+        ]
+        for r in results
+    ]
+    if fmt == "json":
+        return json.dumps([dict(zip(CSV_HEADER.split(","), row)) for row in rows], indent=2) + "\n"
+    return "\n".join([CSV_HEADER] + [",".join(map(str, row)) for row in rows]) + "\n"
 
 
 def _emit(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    try:
+        fh = open(out_path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(str(exc)) from exc
+    with fh:
+        fh.write(text)
+
+
+def _emit_results(args, results, render_text=None):
+    """Write results in args.format; render_text(results) gives the text format."""
+    _emit(render_text(results) if args.format == "text" else _records(results, args.format), args.out)
 
 
 def _load_config_file(path) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = _CONFIG_KEYS[key](val.strip())
-            except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _CONFIG_KEYS[key](val.strip())
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
 def _resolve_settings(args):
     """EvalConfig, GridSpec and workers from defaults < config file < flags."""
-    file_vals = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    cfg_kwargs = {
-        k: file_vals[k]
-        for k in ("cf_tolerance", "cf_max_iter", "quad_tolerance", "quad_max_level")
-        if k in file_vals
-    }
+    values = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in ("d1_max", "d2_max", "workers"):
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    workers = values.pop("workers", None)
+    caps = [values.pop(key, getattr(DEFAULT_GRID, key)) for key in ("d1_max", "d2_max")]
     try:
-        config = EvalConfig(**cfg_kwargs)
+        config, grid = EvalConfig(**values), GridSpec(*caps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-    d1_max = getattr(args, "d1_max", None)
-    d2_max = getattr(args, "d2_max", None)
-    if d1_max is None:
-        d1_max = file_vals.get("d1_max", DEFAULT_GRID.d1_max)
-    if d2_max is None:
-        d2_max = file_vals.get("d2_max", DEFAULT_GRID.d2_max)
-    try:
-        grid = GridSpec(d1_max, d2_max)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        workers = file_vals.get("workers")
     if workers is not None and workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
     return config, grid, workers
@@ -202,6 +184,29 @@ def _check_kappa_arg(flag, kappa, *shapes):
         )
 
 
+def _table_text(results) -> str:
+    lines = [
+        f"{'kappa':>10}  {'grid inf P':>12}  {'d1':>5}  {'d2':>5}  "
+        f"{'reference':>10}  {'|diff|':>9}  flags"
+    ]
+    rows = list(zip(REFERENCE_TABLE, results))
+    for (kappa, ref_val, _, _), res in rows:
+        diff = abs(res.grid_min - ref_val)
+        lines.append(
+            f"{kappa:>10.6f}  {res.grid_min:>12.6f}  {res.argmin_d1:>5d}  "
+            f"{res.argmin_d2:>5d}  {ref_val:>10.6f}  {diff:>9.2e}  {';'.join(res.flags)}"
+        )
+    for (kappa, ref_val, ref_d1, ref_d2), res in rows:
+        if res.flags:
+            lines.append(
+                f"note: the reference row kappa={kappa:g} ({ref_val:.6f} at "
+                f"({ref_d1},{ref_d2})) exceeds the kappa=3.005 row and is "
+                f"impossible under strict monotonicity in kappa; computed "
+                f"minimum is {res.grid_min:.6f} at ({res.argmin_d1},{res.argmin_d2})."
+            )
+    return "\n".join(lines) + "\n"
+
+
 def cmd_table(args) -> int:
     config, grid, workers = _resolve_settings(args)
     # every table kappa is above 1; the rows carry only the reference flag,
@@ -213,33 +218,28 @@ def cmd_table(args) -> int:
         )
         for kappa, *_ in REFERENCE_TABLE
     ]
-
-    if args.format == "csv":
-        _emit(_records_csv(results), args.out)
-    elif args.format == "json":
-        _emit(_records_json(results), args.out)
-    else:
-        lines = [
-            f"{'kappa':>10}  {'grid inf P':>12}  {'d1':>5}  {'d2':>5}  "
-            f"{'reference':>10}  {'|diff|':>9}  flags"
-        ]
-        rows = list(zip(REFERENCE_TABLE, results))
-        for (kappa, ref_val, _, _), res in rows:
-            diff = abs(res.grid_min - ref_val)
-            lines.append(
-                f"{kappa:>10.6f}  {res.grid_min:>12.6f}  {res.argmin_d1:>5d}  "
-                f"{res.argmin_d2:>5d}  {ref_val:>10.6f}  {diff:>9.2e}  {';'.join(res.flags)}"
-            )
-        for (kappa, ref_val, ref_d1, ref_d2), res in rows:
-            if res.flags:
-                lines.append(
-                    f"note: the reference row kappa={kappa:g} ({ref_val:.6f} at "
-                    f"({ref_d1},{ref_d2})) exceeds the kappa=3.005 row and is "
-                    f"impossible under strict monotonicity in kappa; computed "
-                    f"minimum is {res.grid_min:.6f} at ({res.argmin_d1},{res.argmin_d2})."
-                )
-        _emit("\n".join(lines) + "\n", args.out)
+    _emit_results(args, results, _table_text)
     return EXIT_OK
+
+
+def _inf_text(res, report) -> str:
+    lines = [
+        f"kappa                 {res.kappa:.15g}",
+        f"grid minimum          {res.grid_min:.15g} at (d1, d2) = "
+        f"({res.argmin_d1}, {res.argmin_d2}) with caps "
+        f"({res.grid.d1_max}, {res.grid.d2_max})",
+        f"limit-curve minimum   {res.limit_min:.15g} at a = {res.limit_argmin_a:g}",
+        f"combined estimate     {res.combined_inf_estimate:.15g}",
+    ]
+    if res.exact_inf is not None:
+        lines.append(
+            f"exact infimum         {res.exact_inf:g} (not attained at finite parameters)"
+        )
+    else:
+        lines.append(
+            f"kappa > 1 regime      conjectured infimum > 1/2; observed margin {report.margin:.6g}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def cmd_inf(args) -> int:
@@ -251,29 +251,7 @@ def cmd_inf(args) -> int:
     _check_kappa_arg("--kappa", args.kappa, grid.d1_max / 2.0, a_grid[-1])
     report = conjecture_probe(args.kappa, grid, a_grid, config, workers) if args.kappa > 1.0 else None
     res = report.result if report else infimum(args.kappa, grid, a_grid, config, workers)
-
-    if args.format == "csv":
-        _emit(_records_csv([res]), args.out)
-    elif args.format == "json":
-        _emit(_records_json([res]), args.out)
-    else:
-        lines = [
-            f"kappa                 {res.kappa:.15g}",
-            f"grid minimum          {res.grid_min:.15g} at (d1, d2) = "
-            f"({res.argmin_d1}, {res.argmin_d2}) with caps "
-            f"({res.grid.d1_max}, {res.grid.d2_max})",
-            f"limit-curve minimum   {res.limit_min:.15g} at a = {res.limit_argmin_a:g}",
-            f"combined estimate     {res.combined_inf_estimate:.15g}",
-        ]
-        if res.exact_inf is not None:
-            lines.append(
-                f"exact infimum         {res.exact_inf:g} (not attained at finite parameters)"
-            )
-        else:
-            lines.append(
-                f"kappa > 1 regime      conjectured infimum > 1/2; observed margin {report.margin:.6g}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+    _emit_results(args, [res], lambda results: _inf_text(*results, report))
 
     if report and report.falsified:
         print(
@@ -327,12 +305,14 @@ def cmd_sweep(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_CHECK_FAILED
-    _emit(_records_csv(results), args.out)
+    _emit_results(args, results)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     config, _, _ = _resolve_settings(args)
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     report = run_suite(profile=args.profile, seed=args.seed, config=config)
     if args.format == "json":
         _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
@@ -402,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--kappa-to", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
     add_common(p_sweep, formats=())
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, format="csv")
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--profile", choices=("quick", "full"), default="quick")
@@ -427,9 +407,6 @@ def main(argv=None) -> int:
     except BrokenProcessPool as exc:
         print(f"worker process died: {exc}", file=sys.stderr)
         return EXIT_WORKER_DIED
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -3,11 +3,11 @@
 The oracle evaluates the defining beta integral by tanh-sinh (double
 exponential) quadrature, which absorbs the t^(a-1) endpoint singularity at
 a = 1/2 without any change of variable, and never touches the continued
-fraction it is used to check. It integrates a whole sample at once, as
-array passes over fixed-size chunks of integrals, with its own refinement
-loop: it shares no code with the continued-fraction path, not even its
-convergence loop. On top of it sit the identity and monotonicity checks
-that back the library's claims:
+fraction it is used to check. ``quad_inc_beta`` integrates all its
+arguments at once, as array passes over fixed-size chunks of integrals,
+with its own refinement loop: it shares no code with the continued-fraction
+path, not even its convergence loop. On top of it sit the identity and
+monotonicity checks that back the library's claims:
 
 * the b -> b+1 recurrence of the incomplete beta,
 * strict decrease of the probe in b for kappa <= 1,
@@ -28,7 +28,7 @@ import numpy as np
 
 from .fdist import FParams, _check_kappa, _probe
 from .probe import limit_b
-from .special import DEFAULT_CONFIG, ConvergenceError, EvalConfig, ln_beta, reg_inc_beta
+from .special import DEFAULT_CONFIG, ConvergenceError, EvalConfig, _finish, _prepare, ln_beta, reg_inc_beta
 
 __all__ = [
     "QuadratureError",
@@ -143,14 +143,19 @@ def _ts_log_integrals(hi, am1, bm1, config):
     )
 
 
-def _quad_inc_beta(x, a, b, config):
-    """quad_inc_beta over equal-length 1-D arrays, as one batch of integrals.
+def quad_inc_beta(x, a, b, config: EvalConfig = DEFAULT_CONFIG):
+    """Oracle for I_x(a, b): the ratio of two tanh-sinh integrals.
 
-    Each sample with 0 < x < 1 gives two rows, its partial integral (hi = x)
-    and then its complete one (hi = 1.0). Rows are integrated _ROWS at a
-    time, in order, so a failure names the integral a per-sample loop would
-    fail on first.
+    Both the partial and the complete beta integral are evaluated by
+    quadrature, so the result shares nothing with the continued-fraction
+    path (not even the log-Beta prefactor). Arguments broadcast like
+    ufuncs; scalars give a float. Each element with 0 < x < 1 adds its
+    partial integral (hi = x), then its complete one (hi = 1.0), and they
+    are integrated _ROWS at a time, in order: each element gets the bits
+    its scalar call gives, and a failure names the integral a scalar loop
+    would fail on first.
     """
+    (x, a, b), shape, scalar = _prepare(x, a, b)
     if not ((0.0 <= x) & (x <= 1.0)).all():
         raise ValueError("quad_inc_beta requires 0 <= x <= 1")
     # NaN passes the range test below and inf passes it; either would run
@@ -168,20 +173,7 @@ def _quad_inc_beta(x, a, b, config):
         rows = slice(lo, lo + _ROWS)
         logs[rows] = _ts_log_integrals(hi[rows], am1[rows], bm1[rows], config)
     out[inner] = [min(1.0, math.exp(num - den)) for num, den in logs.reshape(-1, 2).tolist()]
-    return out
-
-
-def quad_inc_beta(x, a, b, config: EvalConfig = DEFAULT_CONFIG) -> float:
-    """Oracle for I_x(a, b): the ratio of two tanh-sinh integrals.
-
-    Both the partial and the complete beta integral are evaluated by
-    quadrature, so the result shares nothing with the continued-fraction
-    path (not even the log-Beta prefactor). ``check_oracle_agreement``
-    evaluates a whole sample with the same kernel in one batch, and gets
-    the value this function gives for each of its rows.
-    """
-    x, a, b = float(x), float(a), float(b)
-    return float(_quad_inc_beta(np.array([x]), np.array([a]), np.array([b]), config)[0])
+    return _finish(out, shape, scalar)
 
 
 @dataclass(frozen=True)
@@ -390,7 +382,7 @@ def check_oracle_agreement(sample, tol: float = 1e-9, config: EvalConfig = DEFAU
     x, a, b = _sample_columns(sample)
     cf_vals = reg_inc_beta(x, a, b, config)
     # np.max keeps a NaN residual, which CheckResult then rejects
-    worst = float(np.max(np.abs(_quad_inc_beta(x, a, b, config) - cf_vals)))
+    worst = float(np.max(np.abs(quad_inc_beta(x, a, b, config) - cf_vals)))
     return CheckResult(
         name="oracle-agreement",
         samples=int(x.size),

@@ -273,3 +273,76 @@ class TestConfigFile:
     def test_missing_config_usage_error(self):
         p = run_cli("prob", "--d1", "2", "--d2", "4", "--config", "/nonexistent.cfg")
         assert p.returncode == 2
+
+
+def _main_error(capsys, argv):
+    # one "error:" line on stderr and the usage exit code, no traceback
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+class TestFileErrors:
+    def test_config_directory(self, tmp_path, capsys):
+        err = _main_error(capsys, ["prob", "--d1", "2", "--d2", "4", "--config", str(tmp_path)])
+        assert str(tmp_path) in err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"cf_tolerance=1e-14\n# caf\xff\n")
+        err = _main_error(capsys, ["prob", "--d1", "2", "--d2", "4", "--config", str(cfg)])
+        assert str(cfg) in err and "utf-8" in err
+
+    def test_out_directory(self, tmp_path, capsys):
+        argv = ["inf", "--kappa", "1.5", "--d1-max", "5", "--d2-max", "5", "--a-max", "5", "--out", str(tmp_path)]
+        err = _main_error(capsys, argv)
+        assert str(tmp_path) in err
+
+
+def test_negative_seed_usage_error(capsys):
+    # exit 1 means a failed verification, so a bad seed must not reach numpy
+    err = _main_error(capsys, ["verify", "--seed", "-1"])
+    assert "--seed" in err
+
+
+# exact stdout bytes: any change here is a change to the output formats
+_INF_1_5 = ["inf", "--kappa", "1.5", "--d1-max", "30", "--d2-max", "30", "--a-max", "50"]
+PINNED_STDOUT = [
+    (
+        _INF_1_5 + ["--format", "text"],
+        "kappa                 1.5\n"
+        "grid minimum          0.782757364609434 at (d1, d2) = (2, 30) with caps (30, 30)\n"
+        "limit-curve minimum   0.776869839851571 at a = 1\n"
+        "combined estimate     0.776869839851571\n"
+        "kappa > 1 regime      conjectured infimum > 1/2; observed margin 0.27687\n",
+    ),
+    (
+        _INF_1_5 + ["--format", "csv"],
+        "kappa,inf_value,d1,d2,limit_min,limit_argmin_a,flags\n"
+        "1.5,0.782757364609434,2,30,0.776869839851571,1,conjecture-kappa-gt-1\n",
+    ),
+    (
+        _INF_1_5 + ["--format", "json"],
+        '[\n  {\n    "kappa": 1.5,\n    "inf_value": 0.782757364609434,\n    "d1": 2,\n'
+        '    "d2": 30,\n    "limit_min": 0.776869839851571,\n    "limit_argmin_a": 1.0,\n'
+        '    "flags": [\n      "conjecture-kappa-gt-1"\n    ]\n  }\n]\n',
+    ),
+    (
+        ["sweep", "--kappa-from", "0.5", "--kappa-to", "2", "--steps", "5", "--d1-max", "12", "--d2-max", "12"],
+        "kappa,inf_value,d1,d2,limit_min,limit_argmin_a,flags\n"
+        "0.5,0.194340489339083,12,12,0,3981.07170553497,exact-infimum-not-attained\n"
+        "0.875,0.532979868486173,12,12,2.81988879742064e-39,10000,exact-infimum-not-attained\n"
+        "1.25,0.735405163678251,3,12,0.710244218806616,1.5,conjecture-kappa-gt-1\n"
+        "1.625,0.812119299023109,1,12,0.797603984027042,0.5,conjecture-kappa-gt-1\n"
+        "2,0.852705704912991,1,12,0.842700792949715,0.5,conjecture-kappa-gt-1\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", PINNED_STDOUT, ids=["inf-text", "inf-csv", "inf-json", "sweep"])
+def test_stdout_bytes_pinned(capsys, argv, stdout):
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == stdout and captured.err == ""

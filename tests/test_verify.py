@@ -81,6 +81,16 @@ class TestQuadIncBeta:
     def test_equals_scalar_loop(self, x, a, b):
         assert quad_inc_beta(x, a, b).hex() == _quad_ref(x, a, b).hex()
 
+    def test_broadcasts_like_a_ufunc(self):
+        # a (3, 1) x against a (3,) a and a scalar b; each element gets the
+        # bits of its own scalar call, and scalars give a float
+        x, a = np.array([[0.0], [0.35], [1.0]]), np.array([0.5, 3.0, 40.0])
+        got = quad_inc_beta(x, a, 2.5)
+        assert got.shape == (3, 3)
+        loop = [[quad_inc_beta(xi, ai, 2.5).hex() for ai in a.tolist()] for xi in x.ravel().tolist()]
+        assert [[v.hex() for v in row] for row in got.tolist()] == loop
+        assert type(quad_inc_beta(np.float64(0.35), 3, 2.5)) is float
+
 
 class TestCheckRecurrence:
     def test_exact_arithmetic_point(self):
@@ -426,7 +436,7 @@ def test_oracle_equals_per_sample_loop_on_full_suite(monkeypatch, seed):
     run_suite("full", seed=seed)
     [(sample, args, kwargs, result)] = calls
     x, a, b = np.asarray(sample).T
-    values = fconc.verify._quad_inc_beta(x, a, b, DEFAULT_CONFIG)
+    values = quad_inc_beta(x, a, b, DEFAULT_CONFIG)
     refs = [_quad_ref(*row) for row in zip(x.tolist(), a.tolist(), b.tolist())]
     assert [v.hex() for v in values.tolist()] == [r.hex() for r in refs]
     ref = _oracle_loop(sample, *args, **kwargs)
@@ -461,8 +471,8 @@ class TestOracleAgreement:
         ones = np.ones(3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            q = fconc.verify._quad_inc_beta(np.array([0.0, 0.3, 1.0]), 2.0 * ones, 3.0 * ones, DEFAULT_CONFIG)
-            ends = fconc.verify._quad_inc_beta(np.array([1.0, 0.0]), ones[:2], ones[:2], DEFAULT_CONFIG)
+            q = quad_inc_beta(np.array([0.0, 0.3, 1.0]), 2.0 * ones, 3.0 * ones, DEFAULT_CONFIG)
+            ends = quad_inc_beta(np.array([1.0, 0.0]), ones[:2], ones[:2], DEFAULT_CONFIG)
             r = check_oracle_agreement([(0.0, 2.0, 3.0), (1.0, 2.0, 3.0)])
         assert [v.hex() for v in q.tolist()] == [0.0.hex(), _quad_ref(0.3, 2.0, 3.0).hex(), 1.0.hex()]
         assert [v.hex() for v in ends.tolist()] == [1.0.hex(), 0.0.hex()]
