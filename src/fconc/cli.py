@@ -20,7 +20,8 @@ and JSON fields are kappa,inf_value,d1,d2,limit_min,limit_argmin_a,flags
 
 Exit codes: 0 success, 1 verification/assertion failure, 2 usage error,
 3 numerical convergence failure, 4 a pool worker process died (killed, or
-out of memory) before returning its stripe. A --workers (or config
+out of memory) before returning its stripe, 5 the output could not be
+written (stdout or --out; a full disk, a closed pipe). A --workers (or config
 ``workers``) below 1 is a usage error, and so are a kappa whose product with
 the largest shape the command forms is not finite, a --config or --out path
 that cannot be opened, a config file that is not UTF-8, and a negative
@@ -47,6 +48,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_WORKER_DIED = 4
+EXIT_OUTPUT_FAILED = 5
 
 FLAG_PAPER_ROW_INCONSISTENT = "paper-row-inconsistent"
 
@@ -87,6 +89,10 @@ class UsageError(Exception):
     pass
 
 
+class OutputError(Exception):
+    pass
+
+
 def _fmt15(v) -> str:
     return format(float(v), ".15g")
 
@@ -115,15 +121,25 @@ def _records(results, fmt) -> str:
 
 
 def _emit(text: str, out_path):
+    """Write text to out_path, or to stdout when it is None. A path that
+    cannot be opened is a UsageError; a write or close that fails after
+    that is an OutputError."""
     if out_path is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise OutputError(f"cannot write the output: {exc}") from exc
         return
     try:
         fh = open(out_path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise UsageError(str(exc)) from exc
-    with fh:
-        fh.write(text)
+    try:
+        with fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _emit_results(args, results, render_text=None):
@@ -278,10 +294,11 @@ def cmd_prob(args) -> int:
     s = p.shape()
     q = threshold(s, args.kappa)
     val = prob_leq_kappa_mean(p, args.kappa, config)
-    sys.stdout.write(
+    _emit(
         f"P(X <= kappa E[X]) = {val:.17g}\n"
         f"threshold q        = {q:.17g}\n"
-        f"shape (a, b)       = ({s.a:.17g}, {s.b:.17g})\n"
+        f"shape (a, b)       = ({s.a:.17g}, {s.b:.17g})\n",
+        None,
     )
     return EXIT_OK
 
@@ -407,6 +424,9 @@ def main(argv=None) -> int:
     except BrokenProcessPool as exc:
         print(f"worker process died: {exc}", file=sys.stderr)
         return EXIT_WORKER_DIED
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT_FAILED
 
 
 if __name__ == "__main__":

@@ -4,20 +4,25 @@ Three ingredients:
 
 * an exhaustive search of the (d1, d2) grid up to configurable caps, with a
   deterministic (value, d1, d2) tie-break. Exhaustive means every cell is
-  either evaluated or certified above the minimum by one of two lower
+  either evaluated or certified above the minimum by one of three lower
   bounds. Block bound: I_x(a, b) increases in x and b and decreases in a
   (DLMF 8.17), and q = ka/(ka+b-1) increases in a and decreases in b, so
   I_{q(a_lo, b_hi)}(a_hi, b_lo) bounds a block of cells. It is taken on
-  16 x 16 blocks, then on the 4 x 4 blocks inside the 16 x 16 ones it did
-  not certify. Segment bound: q increases in kappa, so P_kappa >=
+  16 x 16 blocks, then on the 4 x 4 blocks inside the 16 x 16 ones nothing
+  else certified. Segment bound: q increases in kappa, so P_kappa >=
   P_min(kappa, 1) cell by cell, and by the paper's theorem P_k' strictly
   decreases in b for k' <= 1, so P_min(kappa, 1)(a, b_hi) bounds every cell
   of a row up to b_hi: a row's certified 64-column segments are a prefix,
-  found by bisection. The block bounds prune far from kappa = 1, the
-  segment bound near it. A cell is skipped only when a bound exceeds an
-  evaluated cell's value by more than twice reg_inc_beta's absolute error,
-  so a skipped cell can be neither the minimum nor tied with it.
-  Exhaustiveness thus also rests on the theorem, which
+  found by bisection. Increment bound, for kappa > 1: the step from P_1 to
+  P_kappa is the integral of the Beta(a, b) density f over [q_1, q_kappa],
+  and f does not increase there, so P_1(a, b_hi) + (q_kappa - q_1) *
+  f(q_kappa) bounds the cell (a, b) for b <= b_hi. The block bounds prune
+  far from kappa = 1, the segment bound at and below it, and the increment
+  bound just above it. A cell is skipped only when a bound, less its error
+  budget, exceeds an evaluated cell's value by more than twice
+  reg_inc_beta's absolute error, so a skipped cell can be neither the
+  minimum nor tied with it. Exhaustiveness thus also rests on the theorem,
+  for kappa <= 1 and for kappa > 1 near 1 alike, which
   verify.check_monotone_b tests on its own sample;
 * the b -> infinity limit curve g_kappa(a) = P(a, kappa*a), whose minimum
   over an a-grid is the second infimum candidate;
@@ -42,10 +47,14 @@ import numpy as np
 
 from .fdist import _check_kappa, _probe, _threshold
 from .special import (
+    BETA_DENSITY_REL_ERR,
     DEFAULT_CONFIG,
     REG_INC_BETA_ABS_ERR,
     ConvergenceError,
     EvalConfig,
+    _CHUNK,
+    _grid_beta_density,
+    _ln_lanczos_halves,
     reg_inc_beta,
     reg_lower_gamma,
 )
@@ -89,10 +98,21 @@ _BLOCKS = (16, 4)
 # so segment ends fall on block edges at every level.
 _SEGMENT = 4 * _BLOCKS[0]
 
+# Cells per entry of the pruning pass's mask: one row's run across a fine
+# block.
+_RUN = _BLOCKS[-1]
+
 # A bound and a cell are each within REG_INC_BETA_ABS_ERR of their exact
 # values, so a block or segment whose bound exceeds the incumbent by more
 # than twice that holds no cell at or below the incumbent.
 _PRUNE_MARGIN = 2.0 * REG_INC_BETA_ABS_ERR
+
+# The increment bound's own allowance on top of _PRUNE_MARGIN, which covers
+# P_1's error and the cell's. The bound's inequality holds for exact
+# thresholds, while P_1, the cell and the density are evaluated at rounded
+# ones; a rounding of a few ulps of q moves a probe value by the density
+# times that, under 2e-13 on the grid.
+_INCREMENT_MARGIN = REG_INC_BETA_ABS_ERR
 
 
 @dataclass(frozen=True)
@@ -205,16 +225,19 @@ def _segment_ends(cols, d2_max):
     return np.minimum((cols + 1) * _SEGMENT + 2, d2_max) / 2.0
 
 
-def _certified_segments(kappa, a, d2_max, limit, config):
+def _certified_segments(kappa, a, d2_max, limit, config, head=None):
     """Count of each row a's leading segments certified above limit.
 
     A segment bound bounds its row up to the segment's end, so any segment
     bound above limit certifies the prefix ending there, whether or not the
     computed bounds are monotone. Segment 0 is taken for every row in one
-    call, then bisection, one call per step over the rows not yet decided.
+    call (head, when the caller has it), then bisection, one call per step
+    over the rows not yet decided.
     """
     n_seg = -(-(d2_max - 2) // _SEGMENT)
-    above = _segment_bound(kappa, a, _segment_ends(0, d2_max), config) > limit
+    if head is None:
+        head = _segment_bound(kappa, a, _segment_ends(0, d2_max), config)
+    above = head > limit
     # segment lo's bound is above limit (or lo = -1), hi's not (or hi = n_seg)
     lo = np.where(above, 0, -1)
     hi = np.where(above, n_seg, 0)
@@ -226,35 +249,120 @@ def _certified_segments(kappa, a, d2_max, limit, config):
     return lo + 1
 
 
+def _bound_blocks(kappa, a, b, live, side, limit, config):
+    """Clear live's entries in every side x side block whose block bound
+    exceeds limit, in one call over the blocks that hold a live entry."""
+    n = side // _RUN
+    block_rows = live.reshape(-1, side, live.shape[1])
+    held = block_rows.any(axis=1).reshape(block_rows.shape[0], -1, n).any(axis=2)
+    rows, cols = np.nonzero(held)
+    a_lo, b_lo = a[::side][rows], b[::side][cols]
+    half_side = (side - 1) / 2.0
+    held[rows, cols] = _block_bound(
+        kappa, a_lo, np.minimum(a_lo + half_side, a[-1]), b_lo, np.minimum(b_lo + half_side, b[-1]), config
+    ) <= limit
+    block_rows &= held.repeat(n, axis=1)[:, None, :]
+
+
+def _increment(kappa, a, b, ln_lanczos):
+    """(q_kappa - q_1) * f_ab(q_kappa) over flat arrays of grid shapes, for
+    kappa > 1; ln_lanczos is special._ln_lanczos_halves(n), n >= 2(a + b).
+
+    f_ab, the Beta(a, b) density, does not increase on [q_1, 1): its mode
+    (a-1)/(a+b-2) lies below q_1 = a/(a+b-1), or it decreases everywhere
+    when a <= 1. So the term is at most the integral of f_ab over
+    [q_1, q_kappa], which is P_kappa(a, b) - P_1(a, b). The difference of
+    thresholds is formed in closed form, a(k-1)(b-1) / ((ka+b-1)(a+b-1)),
+    with no cancellation, and the term's relative error is within
+    BETA_DENSITY_REL_ERR.
+    """
+    bm1 = b - 1.0
+    dq = a * (kappa - 1.0) / (kappa * a + bm1) * (bm1 / (a + bm1))
+    return dq * _grid_beta_density(_threshold(kappa, a, b), a, b, ln_lanczos)
+
+
+def _certify_increment(kappa, a, b, live, d2_max, limit, head, config):
+    """Clear the entries of live, a rows x 4-column mask over rows a, whose
+    cells all lie above limit by the increment bound, for kappa > 1.
+
+    For kappa > 1 and every b <= b_hi in row a,
+        P_kappa(a, b) = P_1(a, b) + integral of f_ab over [q_1, q_kappa]
+                     >= P_1(a, b_hi) + _increment(kappa, a, b):
+    the paper's theorem at k' = 1, then the density bound. b_hi is the end
+    of the cell's row segment, and the bound is taken after its error
+    budget (_INCREMENT_MARGIN and BETA_DENSITY_REL_ERR). The increments come
+    first, in chunks of special._CHUNK entries. head holds each row's P_1 at
+    the end of its first segment, which by the theorem is at least its P_1
+    at every later segment end, so an entry whose bound does not exceed
+    limit with head in place of P_1 cannot be certified. One _segment_bound
+    call per stripe then takes P_1 on the (row, segment) pairs that hold an
+    entry that can.
+
+    Far from kappa = 1 the density at q_kappa is far below its mean over
+    [q_1, q_kappa], and the stage certifies nothing. So it takes the
+    stripes with the fewest live entries first and stops after a stripe
+    with live entries in which it certifies none: where it cannot win it
+    spends one small stripe.
+    """
+    per_seg = _SEGMENT // _RUN
+    ln_lanczos = _ln_lanczos_halves(a.size + d2_max)
+    stripes = range(0, a.size, _STRIPE_ROWS)
+    for lo in sorted(stripes, key=lambda lo: np.count_nonzero(live[lo : lo + _STRIPE_ROWS])):
+        stripe = live[lo : lo + _STRIPE_ROWS]
+        rows, cols = np.nonzero(stripe)
+        if not rows.size:
+            continue
+        # each entry's smallest increment over its cells, after the budget
+        gain = np.empty(rows.size)
+        for i in range(0, rows.size, _CHUNK):
+            a_r, b_lo = a[lo + rows[i : i + _CHUNK]], b[_RUN * cols[i : i + _CHUNK]]
+            inc = np.inf
+            for j in range(_RUN):
+                # cells past d2_max repeat the row's last one
+                inc = np.minimum(inc, _increment(kappa, a_r, np.minimum(b_lo + j / 2.0, b[-1]), ln_lanczos))
+            gain[i : i + _CHUNK] = inc * (1.0 - BETA_DENSITY_REL_ERR) - _INCREMENT_MARGIN
+        hope = head[lo + rows] + gain > limit
+        if not hope.any():
+            return
+        rows, cols, gain = rows[hope], cols[hope], gain[hope]
+        # entries run row-major, so each (row, segment) pair's are adjacent
+        new_pair = np.diff(rows * live.shape[1] + cols // per_seg, prepend=-1) != 0
+        first = np.flatnonzero(new_pair)
+        p1 = _segment_bound(kappa, a[lo + rows[first]], _segment_ends(cols[first] // per_seg, d2_max), config)
+        dead = p1[np.cumsum(new_pair) - 1] + gain > limit
+        stripe[rows[dead], cols[dead]] = False
+        if not dead.any():
+            return
+
+
 def _live_blocks(kappa, grid, limit, config):
     """Grid rows x 4-column blocks: True where the row's cells in the block
-    lie past its certified segments and the bounds of the 16 x 16 and the
-    4 x 4 block holding them are both at most limit.
+    lie past its certified segments, the bounds of the 16 x 16 and the
+    4 x 4 block holding them are both at most limit, and, for kappa > 1,
+    the increment bound of some cell in the block is too.
 
-    Each level takes its bounds in one call, only on the blocks that hold a
-    cell past their rows' certified segments and lie inside a live block of
-    the level before.
+    Each block level takes its bounds in one call, only on the blocks that
+    still hold a live entry; the increment stage runs between the levels,
+    so the 4 x 4 level skips the blocks it certifies.
     """
     a = np.arange(1, grid.d1_max + 1, dtype=np.int64) / 2.0
     b = np.arange(3, grid.d2_max + 1, dtype=np.int64) / 2.0
-    segments = _certified_segments(kappa, a, grid.d2_max, limit, config)
-    outer = _BLOCKS[0]
-    live = np.ones((-(-a.size // outer), -(-b.size // outer)), dtype=bool)
-    for side in _BLOCKS:
-        # first uncertified block of each row; a segment spans whole blocks
-        first = segments * (_SEGMENT // side)
-        n = outer // side
-        live = live.repeat(n, axis=0).repeat(n, axis=1)[: -(-a.size // side), : -(-b.size // side)]
-        # a block has a cell past the cut iff its row with the smallest cut does
-        live &= np.arange(live.shape[1]) >= np.minimum.reduceat(first, np.arange(0, a.size, side))[:, None]
-        rows, blocks = np.nonzero(live)
-        a_lo, b_lo = a[::side][rows], b[::side][blocks]
-        half_side = (side - 1) / 2.0
-        live[rows, blocks] = _block_bound(
-            kappa, a_lo, np.minimum(a_lo + half_side, a[-1]), b_lo, np.minimum(b_lo + half_side, b[-1]), config
-        ) <= limit
-        outer = side
-    return live.repeat(side, axis=0)[: a.size] & (np.arange(live.shape[1]) >= first[:, None])
+    head = _segment_bound(kappa, a, _segment_ends(0, grid.d2_max), config)
+    segments = _certified_segments(kappa, a, grid.d2_max, limit, config, head)
+    per_seg = _SEGMENT // _RUN
+    coarse, fine = _BLOCKS
+    # padded to whole coarse blocks and whole segments; pad entries stay dead
+    n_cols = -(-b.size // _SEGMENT) * per_seg
+    first = np.full(-(-a.size // coarse) * coarse, n_cols)
+    first[: a.size] = segments * per_seg
+    live = np.arange(n_cols) >= first[:, None]
+    n_entries = -(-b.size // _RUN)
+    live[:, n_entries:] = False
+    _bound_blocks(kappa, a, b, live, coarse, limit, config)
+    if kappa > 1.0:
+        _certify_increment(kappa, a, b, live, grid.d2_max, limit, head, config)
+    _bound_blocks(kappa, a, b, live, fine, limit, config)
+    return live[: a.size, :n_entries]
 
 
 def _scan_stripe(args):
@@ -268,7 +376,7 @@ def _scan_stripe(args):
     d1_lo, live, d2_max, kappa, config = args
     a = np.arange(d1_lo, d1_lo + live.shape[0], dtype=np.int64) / 2.0
     b = np.arange(3, d2_max + 1, dtype=np.int64) / 2.0
-    live = live.repeat(_BLOCKS[-1], axis=1)[:, : b.size]
+    live = live.repeat(_RUN, axis=1)[:, : b.size]
     a_cells, b_cells = np.broadcast_arrays(a[:, None], b[None, :])
     return _min_cell(kappa, a_cells[live], b_cells[live], config)
 
@@ -288,11 +396,14 @@ def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, config: EvalConfig = DEFA
 
     The smallest cell of row d1 = 1 and column d2 = d2_max seeds an
     incumbent. One pass in the calling process marks live the cells whose
-    block bounds, at both levels, and row-segment bound (see the module
-    docstring) are all at most the incumbent plus twice reg_inc_beta's
-    absolute error: once for the bound, once for a cell. A skipped cell is
-    thus strictly above the incumbent, and the result is the exhaustive
-    scan's, bit for bit.
+    block bounds, at both levels, row-segment bound and, for kappa > 1,
+    increment bound (see the module docstring) are all at most the
+    incumbent plus twice reg_inc_beta's absolute error: once for the bound,
+    once for a cell. The increment bound carries its own error budget on
+    top. A skipped cell is thus strictly above the incumbent, and the
+    result is the exhaustive scan's, bit for bit. Below, at and just above
+    kappa = 1 that rests on the paper's b-monotonicity theorem, which the
+    segment and increment bounds use.
 
     The live cells are evaluated in 128-row stripes, in a process pool when
     workers > 1 and two or more stripes have live cells. Ties go to the
@@ -378,8 +489,10 @@ def infimum(kappa, grid: GridSpec = DEFAULT_GRID, a_grid=None,
     the numerical minima so the closed forms are checked, not assumed.
     The regime test is an exact comparison of the double kappa against 1.0;
     values near 1 are never snapped. For kappa <= 1 the grid minimum is
-    evidence beside the closed forms, and since the scan prunes with the
-    paper's b-monotonicity theorem, that evidence leans on the theorem;
+    evidence beside the closed forms. The scan prunes with the paper's
+    b-monotonicity theorem at kappa <= 1 and, through the increment bound,
+    at kappa > 1 near 1 (at 1.00005 to 1.3 it certifies most cells), so
+    the grid minimum leans on the theorem there;
     verify.check_monotone_b keeps testing it on its own sample.
     """
     k = _check_kappa(kappa)

@@ -301,6 +301,55 @@ class TestFileErrors:
         assert str(tmp_path) in err
 
 
+class _FullWriter:
+    """A text stream whose every write fails, as a full disk makes it."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+    def close(self):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+class TestOutputErrors:
+    # a write that fails after the output is open: one error line, exit 5,
+    # never the traceback with exit 1 that a failed verification means
+    def _run(self, capsys, argv):
+        assert cli.main(argv) == cli.EXIT_OUTPUT_FAILED
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "No space left on device" in err
+        return err
+
+    def test_prob_to_stdout(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", _FullWriter())
+        self._run(capsys, ["prob", "--d1", "2", "--d2", "4"])
+
+    def test_inf_to_stdout(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", _FullWriter())
+        self._run(capsys, ["inf", "--kappa", "1.5", "--d1-max", "5", "--d2-max", "5", "--a-max", "5"])
+
+    def test_sweep_to_out_file(self, monkeypatch, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _FullWriter(), raising=False)
+        argv = ["sweep", "--kappa-from", "1.5", "--kappa-to", "2", "--steps", "2", "--d1-max", "5", "--d2-max", "5"]
+        assert str(out) in self._run(capsys, argv + ["--out", str(out)])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    def test_close_fails_on_full_device(self, capsys):
+        # the text fits the file buffer, so the failure comes at close
+        argv = ["sweep", "--kappa-from", "1.5", "--kappa-to", "2", "--steps", "2", "--d1-max", "5", "--d2-max", "5"]
+        self._run(capsys, argv + ["--out", "/dev/full"])
+
+
 def test_negative_seed_usage_error(capsys):
     # exit 1 means a failed verification, so a bad seed must not reach numpy
     err = _main_error(capsys, ["verify", "--seed", "-1"])

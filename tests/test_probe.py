@@ -21,7 +21,7 @@ from fconc import (
 )
 from fconc import cli, fdist, probe
 from fconc.probe import FLAG_CONJECTURE_REGIME, FLAG_EXACT_INF_NOT_ATTAINED
-from fconc.special import DEFAULT_CONFIG, REG_INC_BETA_ABS_ERR, EvalConfig
+from fconc.special import BETA_DENSITY_REL_ERR, DEFAULT_CONFIG, REG_INC_BETA_ABS_ERR, EvalConfig, _ln_lanczos_halves
 
 from conftest import PROBE_KAPPAS
 
@@ -252,10 +252,137 @@ class TestGridInfimum:
         if cut < n_seg:
             assert bounds[cut] <= limit
 
-    @pytest.mark.parametrize("kappa, pools", [(1.0, 0), (1.001, 1)])
+    @pytest.mark.parametrize("kappa, share", [(1.001, 0.005), (1.005, 0.05)])
+    def test_increment_bound_prunes_just_above_one(self, monkeypatch, kappa, share):
+        # a count, so deterministic: without the increment stage the stripe
+        # scans evaluate 19% and 73% of the grid here, with it 0.05% and 2.4%
+        grid = GridSpec(300, 400)
+        evaluated = []
+        min_cell = probe._min_cell
+
+        def counting(kappa, a, b, config):
+            evaluated.append(a.size)
+            return min_cell(kappa, a, b, config)
+
+        monkeypatch.setattr(probe, "_min_cell", counting)
+        grid_infimum(kappa, grid)
+        seed_cells = grid.d1_max + grid.d2_max - 2  # row d1 = 1 and column d2 = d2_max
+        assert sum(evaluated) - seed_cells < share * grid.d1_max * (grid.d2_max - 2)
+
+    @pytest.mark.parametrize("kappa", [1.0002, 1.02, 1.3])
+    def test_increment_pruned_search_matches_full_grid(self, kappa):
+        # the increment stage certifies nearly every cell up to kappa = 1.2
+        # and part of them at 1.3; held to the full-grid and per-stripe oracles
+        self.test_pruned_search_matches_full_grid(kappa)
+
+    @pytest.mark.parametrize("kappa, runs", [(0.9, False), (1.0, False), (1.001, True)])
+    def test_increment_stage_runs_only_above_one(self, monkeypatch, kappa, runs):
+        # at kappa <= 1 the segment bound already takes P_kappa itself, and
+        # the stage would only spend
+        calls = []
+        increment = probe._increment
+
+        def recording(*args):
+            calls.append(args[1].size)
+            return increment(*args)
+
+        monkeypatch.setattr(probe, "_increment", recording)
+        grid_infimum(kappa, GridSpec(300, 400))
+        assert bool(calls) == runs
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kappa=st.one_of(st.sampled_from([k for k in PROBE_KAPPAS if k > 1.0]), st.floats(1.0, 1.1, exclude_min=True),
+                        st.floats(1.1, 4.0)),
+        d1=st.integers(1, 1999),
+        d2_max=st.integers(3, 1999),
+        segment=st.integers(0, 31),
+    )
+    def test_increment_bound_below_every_cell(self, kappa, d1, d2_max, segment):
+        # the stage's bound over one row segment, after its error budget, at
+        # every cell of the segment: P_1 at the segment's end, less the
+        # allowance, plus each cell's own increment less its relative error
+        n_seg = -(-(d2_max - 2) // probe._SEGMENT)
+        segment = min(segment, n_seg - 1)
+        b_hi = probe._segment_ends(segment, d2_max)
+        b = np.arange(2 * b_hi - probe._SEGMENT + 1, 2 * b_hi + 1).clip(3, None) / 2.0
+        a = np.full(b.size, d1 / 2.0)
+        p1 = probe._segment_bound(kappa, a[0], b_hi, DEFAULT_CONFIG)
+        inc = probe._increment(kappa, a, b, _ln_lanczos_halves(d1 + d2_max))
+        bound = p1 - probe._INCREMENT_MARGIN + inc * (1.0 - BETA_DENSITY_REL_ERR)
+        cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
+        assert (bound <= cells + REG_INC_BETA_ABS_ERR).all()
+
+    def test_increment_error_against_mpmath(self, monkeypatch):
+        # the cells the stage sees at full caps from kappa = 1.00005 to 1.05,
+        # sampled, with the largest shapes; the exact term takes the
+        # thresholds as exact rationals of the double kappa and shapes
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        stage = probe._certify_increment
+        seen = []
+
+        def grab(kappa, a, b, live, *rest):
+            rows, cols = np.nonzero(live)
+            pick = rng.choice(rows.size, 60, replace=False)
+            largest = np.argmax(rows + cols)
+            rows, cols = np.append(rows[pick], rows[largest]), np.append(cols[pick], cols[largest])
+            cells = np.minimum(probe._RUN * cols + rng.integers(0, probe._RUN, cols.size), b.size - 1)
+            seen.append((kappa, a[rows], b[cells]))
+            return stage(kappa, a, b, live, *rest)
+
+        monkeypatch.setattr(probe, "_certify_increment", grab)
+        grid = GridSpec(1999, 1999)
+        for kappa in (1.00005, 1.001, 1.005, 1.05):
+            limit = probe._seed(kappa, grid, DEFAULT_CONFIG)[0] + probe._PRUNE_MARGIN
+            probe._live_blocks(kappa, grid, limit, DEFAULT_CONFIG)
+        table = _ln_lanczos_halves(grid.d1_max + grid.d2_max)
+        with mpmath.workdps(40):
+            for kappa, a, b in seen:
+                got = probe._increment(kappa, a, b, table)
+                for ai, bi, gi in zip(a, b, got):
+                    k, am, bm = mpmath.mpf(kappa), mpmath.mpf(ai), mpmath.mpf(bi)
+                    q_k, q_1 = k * am / (k * am + bm - 1), am / (am + bm - 1)
+                    ln_f = (am - 1) * mpmath.log(q_k) + (bm - 1) * mpmath.log1p(-q_k) - mpmath.log(mpmath.beta(am, bm))
+                    exact = (q_k - q_1) * mpmath.exp(ln_f)
+                    assert abs(gi - exact) <= BETA_DENSITY_REL_ERR * exact, (kappa, ai, bi)
+
+    def test_block_bounds_reach_their_last_row_and_column(self, monkeypatch):
+        # each block bound takes its shapes at the block's far corner, or at
+        # the cap for an edge block; one row or column short is unsound,
+        # though the bounds' slack hides it from the soundness properties
+        taken = []
+        block_bound = probe._block_bound
+
+        def recording(kappa, a_lo, a_hi, b_lo, b_hi, config):
+            taken.append((a_lo, a_hi, b_lo, b_hi))
+            return block_bound(kappa, a_lo, a_hi, b_lo, b_hi, config)
+
+        monkeypatch.setattr(probe, "_block_bound", recording)
+        for kappa, grid in [(0.5, GridSpec(301, 405)), (1.5, GridSpec(137, 1001)), (16.0, GridSpec(299, 399))]:
+            taken.clear()
+            limit = probe._seed(kappa, grid, DEFAULT_CONFIG)[0] + probe._PRUNE_MARGIN
+            probe._live_blocks(kappa, grid, limit, DEFAULT_CONFIG)
+            assert len(taken) == len(probe._BLOCKS)
+            for side, (a_lo, a_hi, b_lo, b_hi) in zip(probe._BLOCKS, taken):
+                assert a_lo.size and ((2 * a_lo - 1) % side == 0).all() and ((2 * b_lo - 3) % side == 0).all()
+                assert (a_hi == np.minimum(a_lo + (side - 1) / 2.0, grid.d1_max / 2.0)).all()
+                assert (b_hi == np.minimum(b_lo + (side - 1) / 2.0, grid.d2_max / 2.0)).all()
+
+    def test_p1_decreases_along_every_segment_end_ladder(self):
+        # the paper's theorem at k' = 1 on the ladder the segment and
+        # increment bounds read it: every row at full caps, about 62k cells
+        grid = GridSpec(1999, 1999)
+        a = np.arange(1, grid.d1_max + 1)[:, None] / 2.0
+        n_seg = -(-(grid.d2_max - 2) // probe._SEGMENT)
+        p1 = probe._segment_bound(1.5, a, probe._segment_ends(np.arange(n_seg), grid.d2_max)[None, :], DEFAULT_CONFIG)
+        assert (np.diff(p1, axis=1) < -2.0 * REG_INC_BETA_ABS_ERR).all()
+
+    @pytest.mark.parametrize("kappa, pools", [(1.0, 0), (1.001, 0), (1.05, 1)])
     def test_pool_starts_only_for_two_live_stripes(self, monkeypatch, kappa, pools):
-        # at kappa = 1 one stripe holds the few live cells, so the pool's
-        # start-up would cost more than the work it shares
+        # at kappa = 1 and 1.001 one stripe holds the few live cells, so the
+        # pool's start-up would cost more than the work it shares; at 1.05
+        # three stripes do
         grid = GridSpec(300, 400)
         started = []
         executor = probe.ProcessPoolExecutor
@@ -301,11 +428,15 @@ class TestGridInfimum:
     @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
     def test_cli_convergence_failure_exit_code_names_cell(self, monkeypatch, capsys, workers):
         # no legal EvalConfig makes a grid fraction fail at these caps, so
-        # the kernel is patched to fail at cell (135, 30) as the real one would
+        # the kernel is patched to fail at cell (132, 6) as the real one
+        # would; the pruning pass leaves that cell live
+        grid = GridSpec(140, 40)
+        limit = probe._seed(1.00005, grid, DEFAULT_CONFIG)[0] + probe._PRUNE_MARGIN
+        assert probe._live_blocks(1.00005, grid, limit, DEFAULT_CONFIG)[131, (6 - 3) // probe._RUN]
         kernel = fdist.reg_inc_beta
 
         def fail_at_cell(x, a, b, config):
-            hit = np.flatnonzero((a == 67.5) & (b == 15.0))
+            hit = np.flatnonzero((a == 66.0) & (b == 3.0))
             if hit.size:
                 i = hit[0]
                 raise ConvergenceError("forced failure", 100, (float(x[i]), float(a[i]), float(b[i])))
@@ -314,7 +445,31 @@ class TestGridInfimum:
         monkeypatch.setattr(fdist, "reg_inc_beta", fail_at_cell)
         caps = ["--d1-max", "140", "--d2-max", "40", "--a-max", "5"]
         assert cli.main(["inf", "--kappa", "1.00005", *caps, *workers]) == cli.EXIT_NUMERICAL
-        assert "(d1, d2) = (135, 30)" in capsys.readouterr().err
+        assert "(d1, d2) = (132, 6)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
+    def test_cli_convergence_failure_in_increment_stage_names_cell(self, monkeypatch, capsys, workers):
+        # at kappa = 1.005 and caps (200, 300) the increment stage takes P_1
+        # at the end of row 38's fifth segment, d2 = 258, which the
+        # bisection never evaluates; the kernel fails there at q_1 only
+        kernel = fdist.reg_inc_beta
+        q_1 = probe._threshold(1.0, 19.0, 129.0)
+
+        def fail_at_p1(x, a, b, config):
+            x, a, b = np.broadcast_arrays(x, a, b)
+            hit = np.flatnonzero((a == 19.0) & (b == 129.0) & (x == q_1))
+            if hit.size:
+                i = hit[0]
+                raise ConvergenceError("forced failure", 100, (float(x[i]), float(a[i]), float(b[i])))
+            return kernel(x, a, b, config)
+
+        monkeypatch.setattr(fdist, "reg_inc_beta", fail_at_p1)
+        grid = GridSpec(200, 300)
+        limit = probe._seed(1.005, grid, DEFAULT_CONFIG)[0] + probe._PRUNE_MARGIN
+        probe._certified_segments(1.005, np.arange(1, 201) / 2.0, 300, limit, DEFAULT_CONFIG)
+        caps = ["--d1-max", "200", "--d2-max", "300", "--a-max", "5"]
+        assert cli.main(["inf", "--kappa", "1.005", *caps, *workers]) == cli.EXIT_NUMERICAL
+        assert "grid scan at kappa=1.005: convergence failure at (d1, d2) = (38, 258)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
     def test_cli_convergence_failure_at_segment_end_names_cell(self, monkeypatch, capsys, workers):
