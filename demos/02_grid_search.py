@@ -4,11 +4,13 @@ Exhaustive means every cell is either evaluated or certified above the
 minimum, with a margin of twice the incomplete beta's absolute error, so the
 result matches evaluating every cell bit for bit. Far from kappa = 1 the
 certificate is a lower bound on the cell's 16 x 16 block, or, inside a
-16 x 16 block that bound could not skip, on its 4 x 4 block. Near kappa = 1,
-where block bounds are too loose, the scan still prunes: it bounds a 64-cell run
-of a row by the probe at min(kappa, 1) in the run's last cell. That rests on
-the paper's theorem that the probe strictly decreases in d2 for kappa <= 1,
-which `fconc verify` (check_monotone_b) tests on its own sample.
+16 x 16 block that bound could not skip, on the one row or one column of
+the block that holds the cell: rows where the block's first d1 is at most
+its first d2, columns elsewhere. Near kappa = 1, where block bounds are too
+loose, the scan still prunes: it bounds a 64-cell run of a row by the probe
+at min(kappa, 1) in the run's last cell. That rests on the paper's theorem
+that the probe strictly decreases in d2 for kappa <= 1, which `fconc verify`
+(check_monotone_b) tests on its own sample.
 
 The minimum moves with kappa: just above 1 it runs to the corner of the
 grid (both caps binding), around kappa ~ 3 it prefers d1 = 1 with a large

@@ -101,7 +101,8 @@ def _die_past_first_stripe(args):
 )
 def test_dead_worker_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(probe, "_scan_stripe", _die_past_first_stripe)
-    argv = ["inf", "--kappa", "1.5", "--d1-max", "140", "--d2-max", "40", "--a-max", "5", "--workers", "2"]
+    # two stripes hold live cells at kappa = 1.05, so the pool starts
+    argv = ["inf", "--kappa", "1.05", "--d1-max", "140", "--d2-max", "40", "--a-max", "5", "--workers", "2"]
     assert cli.main(argv) == cli.EXIT_WORKER_DIED == 4
     err = capsys.readouterr().err
     assert err.startswith("worker process died: ") and err.count("\n") == 1
@@ -387,10 +388,31 @@ PINNED_STDOUT = [
         "1.625,0.812119299023109,1,12,0.797603984027042,0.5,conjecture-kappa-gt-1\n"
         "2,0.852705704912991,1,12,0.842700792949715,0.5,conjecture-kappa-gt-1\n",
     ),
+    (
+        # every table kappa at caps where the scan prunes in every regime it
+        # has, so this also pins the pruned scan's results bit for bit
+        ["table", "--format", "csv", "--d1-max", "300", "--d2-max", "300"],
+        "kappa,inf_value,d1,d2,limit_min,limit_argmin_a,flags\n"
+        "1.00005,0.523250211974513,300,300,0.50325739937694,6556.41849417978,\n"
+        "1.001,0.526521552615242,300,300,0.514561569396476,333.5,\n"
+        "1.005,0.539102412257105,134,300,0.53250945386631,67,\n"
+        "1.05,0.603263729380969,14,300,0.601035325604707,7,\n"
+        "1.5,0.777430693617867,2,300,0.776869839851571,1,\n"
+        "3,0.916737202178552,1,300,0.91673548333645,0.5,paper-row-inconsistent\n"
+        "3.005,0.916992458592498,1,300,0.91699202280885,0.5,\n"
+        "3.05,0.919239792053688,1,83,0.919262857095433,0.5,\n"
+        "3.14159265358979,0.923509722495054,1,31,0.923680750542946,0.5,\n"
+        "4,0.950132769431115,1,7,0.954499736103642,0.5,\n"
+        "6,0.974278579257493,1,4,0.98569412156457,0.5,\n"
+        "8,0.983723396540571,1,3,0.995322265018953,0.5,\n"
+        "16,0.993834626861163,1,3,0.999936657516334,0.5,\n"
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, stdout", PINNED_STDOUT, ids=["inf-text", "inf-csv", "inf-json", "sweep"])
+@pytest.mark.parametrize(
+    "argv, stdout", PINNED_STDOUT, ids=["inf-text", "inf-csv", "inf-json", "sweep", "table-csv-300"]
+)
 def test_stdout_bytes_pinned(capsys, argv, stdout):
     assert cli.main(argv) == 0
     captured = capsys.readouterr()

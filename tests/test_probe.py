@@ -168,8 +168,8 @@ class TestGridInfimum:
     @pytest.mark.parametrize("kappa, share", [(1.5, 0.20), (3.005, 0.07), (16.0, 0.045)])
     def test_fine_blocks_prune_far_from_one(self, monkeypatch, kappa, share):
         # a count, so deterministic: with 16 x 16 blocks alone the stripe
-        # scans evaluate 40%, 14% and 9.1% of the grid here, and the 4 x 4
-        # level inside the surviving blocks cuts that to 9.9%, 3.5% and 1.2%
+        # scans evaluate 40%, 14% and 9.1% of the grid here; the strips
+        # inside the surviving blocks cut that to 5.1%, 0.95% and 0.31%
         grid = GridSpec(300, 400)
         evaluated = []
         min_cell = probe._min_cell
@@ -183,12 +183,31 @@ class TestGridInfimum:
         seed_cells = grid.d1_max + grid.d2_max - 2  # row d1 = 1 and column d2 = d2_max
         assert sum(evaluated) - seed_cells < share * grid.d1_max * (grid.d2_max - 2)
 
+    @pytest.mark.parametrize("kappa, share", [(1.5, 0.06), (3.005, 0.015), (16.0, 0.004)])
+    def test_strips_prune_far_from_one(self, monkeypatch, kappa, share):
+        # the same count against the strip level's reach: 4 x 4 blocks in
+        # its place leave 9.9%, 3.5% and 1.2%, and strips reversed in
+        # orientation 31% at kappa = 1.5
+        self.test_fine_blocks_prune_far_from_one(monkeypatch, kappa, share)
+
+    def test_pass_skipped_when_no_bound_can_exceed_limit(self, monkeypatch):
+        # at kappa = 1e15 every cell is 1.0, so limit >= 1, and no bound, a
+        # probability, can exceed it: the pass takes none and keeps every
+        # cell live, and the full-grid oracle still holds
+        def unreachable(*args):
+            raise AssertionError("bound taken at limit >= 1")
+
+        monkeypatch.setattr(probe, "_block_bound", unreachable)
+        monkeypatch.setattr(probe, "_segment_bound", unreachable)
+        self.test_pruned_search_matches_full_grid(1e15)
+
     @pytest.mark.parametrize("kappa", [1.0, 1.00005, 1.001])
     def test_pruning_pass_spends_nothing_on_certified_cells(self, monkeypatch, kappa):
-        # one bound call per block level; each block it bounds ends inside
-        # the grid and holds a cell the row-segment bound left uncertified,
-        # and no certified cell is live. Near kappa = 1 the rows' certified
-        # prefixes differ, so blocks straddle them
+        # one bound call per level, blocks then strips; each block or strip
+        # it bounds ends inside the grid and holds a cell the row-segment
+        # bound left uncertified, and no certified cell is live. Near
+        # kappa = 1 the rows' certified prefixes differ, so blocks straddle
+        # them
         grid = GridSpec(300, 400)
         limit = probe._seed(kappa, grid, DEFAULT_CONFIG)[0] + probe._PRUNE_MARGIN
         a = np.arange(1, grid.d1_max + 1) / 2.0
@@ -204,13 +223,13 @@ class TestGridInfimum:
 
         monkeypatch.setattr(probe, "_block_bound", recording)
         live = probe._live_blocks(kappa, grid, limit, DEFAULT_CONFIG)
-        assert len(taken) == len(probe._BLOCKS)
+        assert len(taken) == 2
         for a_lo, a_hi, b_hi in taken:
             assert (a_hi <= a[-1]).all() and (b_hi <= b[-1]).all()
             rows = zip((2.0 * a_lo).astype(int) - 1, (2.0 * a_hi).astype(int))
             least = np.array([certified_to[lo:hi].min() for lo, hi in rows])
             assert (b_hi > least).all()
-        live_cells = live.repeat(probe._BLOCKS[-1], axis=1)[:, : b.size]
+        live_cells = live.repeat(probe._RUN, axis=1)[:, : b.size]
         assert not (live_cells & (b <= certified_to[:, None])).any()
 
     @settings(max_examples=200, deadline=None)
@@ -231,7 +250,7 @@ class TestGridInfimum:
         a = np.arange(1, d1_max + 1)[:, None] / 2.0
         b = np.arange(3, d2_max + 1)[None, :] / 2.0
         cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
-        pruned = ~live.repeat(probe._BLOCKS[-1], axis=1)[:, : b.size]
+        pruned = ~live.repeat(probe._RUN, axis=1)[:, : b.size]
         assert (cells[pruned] > value).all()
 
     @settings(max_examples=200, deadline=None)
@@ -349,7 +368,9 @@ class TestGridInfimum:
 
     def test_block_bounds_reach_their_last_row_and_column(self, monkeypatch):
         # each block bound takes its shapes at the block's far corner, or at
-        # the cap for an edge block; one row or column short is unsound,
+        # the cap for an edge block, and each strip is one row of a block
+        # with a_lo <= b_lo, or one column of any other, reaching across
+        # the block or to the cap; one row or column short is unsound,
         # though the bounds' slack hides it from the soundness properties
         taken = []
         block_bound = probe._block_bound
@@ -358,16 +379,34 @@ class TestGridInfimum:
             taken.append((a_lo, a_hi, b_lo, b_hi))
             return block_bound(kappa, a_lo, a_hi, b_lo, b_hi, config)
 
+        def origin(lo, first):
+            # the lowest shape of the 16-aligned block holding lo
+            return ((2 * lo - first) // 16 * 16 + first) / 2.0
+
+        def far_end(lo, cap):
+            return np.minimum(lo + 7.5, cap / 2.0)
+
         monkeypatch.setattr(probe, "_block_bound", recording)
+        clamped_rows = clamped_cols = 0
         for kappa, grid in [(0.5, GridSpec(301, 405)), (1.5, GridSpec(137, 1001)), (16.0, GridSpec(299, 399))]:
             taken.clear()
             limit = probe._seed(kappa, grid, DEFAULT_CONFIG)[0] + probe._PRUNE_MARGIN
             probe._live_blocks(kappa, grid, limit, DEFAULT_CONFIG)
-            assert len(taken) == len(probe._BLOCKS)
-            for side, (a_lo, a_hi, b_lo, b_hi) in zip(probe._BLOCKS, taken):
-                assert a_lo.size and ((2 * a_lo - 1) % side == 0).all() and ((2 * b_lo - 3) % side == 0).all()
-                assert (a_hi == np.minimum(a_lo + (side - 1) / 2.0, grid.d1_max / 2.0)).all()
-                assert (b_hi == np.minimum(b_lo + (side - 1) / 2.0, grid.d2_max / 2.0)).all()
+            assert len(taken) == 2
+            (a_lo, a_hi, b_lo, b_hi), strips = taken
+            assert a_lo.size and ((2 * a_lo - 1) % 16 == 0).all() and ((2 * b_lo - 3) % 16 == 0).all()
+            assert (a_hi == far_end(a_lo, grid.d1_max)).all() and (b_hi == far_end(b_lo, grid.d2_max)).all()
+            a_lo, a_hi, b_lo, b_hi = strips
+            block_a, block_b = origin(a_lo, 1), origin(b_lo, 3)
+            row, col = block_a <= block_b, block_a > block_b
+            assert (a_hi[row] == a_lo[row]).all() and (b_lo[row] == block_b[row]).all()
+            assert (b_hi[row] == far_end(b_lo[row], grid.d2_max)).all()
+            assert (b_hi[col] == b_lo[col]).all() and (a_lo[col] == block_a[col]).all()
+            assert (a_hi[col] == far_end(a_lo[col], grid.d1_max)).all()
+            clamped_rows += np.count_nonzero(b_hi[row] < b_lo[row] + 7.5)
+            clamped_cols += np.count_nonzero(a_hi[col] < a_lo[col] + 7.5)
+        # both orientations reach the caps here
+        assert clamped_rows and clamped_cols
 
     def test_p1_decreases_along_every_segment_end_ladder(self):
         # the paper's theorem at k' = 1 on the ladder the segment and
@@ -409,8 +448,9 @@ class TestGridInfimum:
             return kernel(x, a, b, config)
 
         monkeypatch.setattr(fdist, "reg_inc_beta", fail_in_worker)
+        # three stripes hold live cells at kappa = 1.05, so the pool starts
         with pytest.raises(ConvergenceError) as err:
-            grid_infimum(1.5, GridSpec(300, 40), workers=2)
+            grid_infimum(1.05, GridSpec(300, 40), workers=2)
         assert err.value.iterations == 7
         assert err.value.args_at_failure == (0.5, 1.0, 2.0)
 
@@ -428,15 +468,15 @@ class TestGridInfimum:
     @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
     def test_cli_convergence_failure_exit_code_names_cell(self, monkeypatch, capsys, workers):
         # no legal EvalConfig makes a grid fraction fail at these caps, so
-        # the kernel is patched to fail at cell (132, 6) as the real one
+        # the kernel is patched to fail at cell (135, 12) as the real one
         # would; the pruning pass leaves that cell live
         grid = GridSpec(140, 40)
         limit = probe._seed(1.00005, grid, DEFAULT_CONFIG)[0] + probe._PRUNE_MARGIN
-        assert probe._live_blocks(1.00005, grid, limit, DEFAULT_CONFIG)[131, (6 - 3) // probe._RUN]
+        assert probe._live_blocks(1.00005, grid, limit, DEFAULT_CONFIG)[134, (12 - 3) // probe._RUN]
         kernel = fdist.reg_inc_beta
 
         def fail_at_cell(x, a, b, config):
-            hit = np.flatnonzero((a == 66.0) & (b == 3.0))
+            hit = np.flatnonzero((a == 67.5) & (b == 6.0))
             if hit.size:
                 i = hit[0]
                 raise ConvergenceError("forced failure", 100, (float(x[i]), float(a[i]), float(b[i])))
@@ -445,7 +485,7 @@ class TestGridInfimum:
         monkeypatch.setattr(fdist, "reg_inc_beta", fail_at_cell)
         caps = ["--d1-max", "140", "--d2-max", "40", "--a-max", "5"]
         assert cli.main(["inf", "--kappa", "1.00005", *caps, *workers]) == cli.EXIT_NUMERICAL
-        assert "(d1, d2) = (132, 6)" in capsys.readouterr().err
+        assert "(d1, d2) = (135, 12)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
     def test_cli_convergence_failure_in_increment_stage_names_cell(self, monkeypatch, capsys, workers):
