@@ -113,7 +113,13 @@ class EvalConfig:
     cf_tolerance    relative termination tolerance for continued fractions
                     and series
     cf_max_iter     iteration cap for continued fractions and series
-    quad_tolerance  absolute tolerance of the tanh-sinh quadrature oracle
+    quad_tolerance  convergence tolerance of the tanh-sinh quadrature
+                    oracle, relative to each integral: an integral stops
+                    refining once its log moves by at most
+                    quad_tolerance / 4 (floored at 4e-15) between two
+                    levels. At the default the oracle's I_x is within 1e-12
+                    absolute of a 40-digit value for a, b in [0.5, 2000]
+                    (checked against mpmath on the suite's sample)
     quad_max_level  refinement cap (mesh halvings) for the quadrature
     """
 

@@ -92,6 +92,59 @@ class TestQuadIncBeta:
         assert type(quad_inc_beta(np.float64(0.35), 3, 2.5)) is float
 
 
+    @pytest.mark.parametrize("first, second", [(0, 1), (63, 64), (5, 100)])
+    @pytest.mark.parametrize("complete_first", [True, False])
+    def test_failure_order_is_the_scalar_loop_order(self, first, second, complete_first):
+        # at this cap (0.001, 2, 1500) fails only its complete integral and
+        # (0.5, 2, 1500) its partial one; a scalar loop meets element i's
+        # partial integral, then its complete one, then element i + 1's.
+        # (63, 64) and (5, 100) put the two in different 64-element chunks.
+        cfg = EvalConfig(quad_tolerance=1e-12, quad_max_level=5)
+        complete_fails, partial_fails = (0.001, 2.0, 1500.0), (0.5, 2.0, 1500.0)
+        sample = np.tile((0.3, 2.0, 3.0), (second + 1, 1))
+        sample[first], sample[second] = (
+            (complete_fails, partial_fails) if complete_first else (partial_fails, complete_fails)
+        )
+        with pytest.raises(QuadratureError) as err:
+            quad_inc_beta(sample[:, 0], sample[:, 1], sample[:, 2], cfg)
+        assert err.value.args_at_failure == ((1.0, 2.0, 1500.0) if complete_first else partial_fails)
+        assert err.value.iterations == 5
+
+    def test_level_tables_read_only_and_history_free(self):
+        # the per-level node tables are shared by every call: a capped call
+        # that raised, then a call at other settings, must leave the bits of
+        # a later default call equal to the one-integral reference
+        fconc.verify._ts_level.cache_clear()
+        with pytest.raises(QuadratureError):
+            quad_inc_beta(0.5, 2.0, 1500.0, EvalConfig(quad_tolerance=1e-12, quad_max_level=5))
+        s = seeded_triples(5, 60, 0.5, 2000.0)
+        quad_inc_beta(s[:, 0], s[:, 1], s[:, 2], EvalConfig(quad_tolerance=1e-7, quad_max_level=14))
+        got = quad_inc_beta(s[:, 0], s[:, 1], s[:, 2])
+        assert [v.hex() for v in got.tolist()] == [_quad_ref(*row).hex() for row in s.tolist()]
+        levels = fconc.verify._ts_level.cache_info().currsize
+        assert levels >= 6
+        for level in range(levels):
+            arrays = [v for v in fconc.verify._ts_level(level) if isinstance(v, np.ndarray)]
+            assert len(arrays) == 7
+            for arr in arrays:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+
+    @pytest.mark.parametrize("seed", [1729, 7, 19])
+    def test_absolute_error_against_mpmath(self, seed):
+        # the oracle held to an independent 40-digit value on the sample the
+        # full suite's oracle check draws (x uniform, a and b log-uniform on
+        # [0.5, 2000]); the worst error measured is about 1.3e-13
+        mpmath = pytest.importorskip("mpmath")
+        s = fconc.verify._triple_sample(np.random.default_rng(seed), 150, 2000.0)
+        got = quad_inc_beta(s[:, 0], s[:, 1], s[:, 2])
+        with mpmath.workdps(40):
+            for (x, a, b), g in zip(s.tolist(), got.tolist()):
+                ref = mpmath.betainc(a, b, 0, x, regularized=True)
+                assert abs(float(ref - g)) <= 1e-12, (x, a, b)
+
+
 class TestCheckRecurrence:
     def test_exact_arithmetic_point(self):
         # I_{1/2}(1,2) = 0.75, I_{1/2}(1,1) = 0.5, correction = 0.25
