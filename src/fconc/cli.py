@@ -39,6 +39,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .fdist import FParams, _check_kappa, prob_leq_kappa_mean, threshold
 from .probe import DEFAULT_GRID, GridSpec, conjecture_probe, default_a_grid, infimum
 from .special import ConvergenceError, EvalConfig
 from .verify import DEFAULT_SEED, run_suite
@@ -191,13 +192,11 @@ def _resolve_settings(args):
 
 
 def _check_kappa_arg(flag, kappa, *shapes):
-    """UsageError unless kappa is finite and positive and kappa times the
-    largest of the shapes the command forms is finite."""
-    shape_max = float(max(shapes))
-    if not (0.0 < kappa < math.inf and math.isfinite(kappa * shape_max)):
-        raise UsageError(
-            f"{flag} must be a positive real with {flag} * {shape_max:g} finite, got {kappa:g}"
-        )
+    """The probe's kappa gate on the shapes a command forms; a UsageError naming flag."""
+    try:
+        _check_kappa(kappa, shapes)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
 
 
 def _table_text(results) -> str:
@@ -280,8 +279,6 @@ def cmd_inf(args) -> int:
 
 
 def cmd_prob(args) -> int:
-    from .fdist import FParams, prob_leq_kappa_mean, threshold
-
     config, _, _ = _resolve_settings(args)
     if args.d2 <= 2:
         raise UsageError(

@@ -62,10 +62,18 @@ class ShapePair:
             raise ValueError(f"b must be > 1, got {self.b}")
 
 
-def _check_kappa(kappa) -> float:
+def _check_kappa(kappa, shapes=()) -> float:
+    """kappa as a float, checked finite and positive with kappa * a finite for
+    every a in shapes (scalar or array), the probe's domain; each entry point
+    that forms kappa * a passes its shapes first. Overflow names the first a."""
     k = float(kappa)
     if not np.isfinite(k) or k <= 0.0:
         raise ValueError(f"kappa must be a finite positive real, got {kappa}")
+    a = np.asarray(shapes, dtype=np.float64).ravel()
+    with np.errstate(over="ignore"):
+        bad = a[~np.isfinite(k * a)]
+    if bad.size:
+        raise ValueError(f"the probe requires kappa * a finite, got kappa={k!r} and a={float(bad[0])!r}")
     return k
 
 
@@ -104,7 +112,7 @@ def threshold(s: ShapePair, kappa) -> float:
     This is the incomplete-beta argument matching the point kappa * E[X]
     under the F CDF.
     """
-    return _threshold(_check_kappa(kappa), s.a, s.b)
+    return _threshold(_check_kappa(kappa, s.a), s.a, s.b)
 
 
 def prob_leq_kappa_mean(p: FParams, kappa, config=DEFAULT_CONFIG) -> float:
@@ -116,4 +124,4 @@ def prob_leq_kappa_mean(p: FParams, kappa, config=DEFAULT_CONFIG) -> float:
     the grid scan's for the same cell, bit for bit.
     """
     s = p.shape()
-    return _probe(_check_kappa(kappa), s.a, s.b, config)
+    return _probe(_check_kappa(kappa, s.a), s.a, s.b, config)

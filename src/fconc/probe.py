@@ -116,19 +116,16 @@ _INCREMENT_MARGIN = REG_INC_BETA_ABS_ERR
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Search caps for the integer (d1, d2) grid; d2 starts at 3."""
+    """Search caps for the integer (d1, d2) grid; d2 starts at 3, as the mean needs d2 > 2."""
 
     d1_max: int
     d2_max: int
-    d2_min: int = 3
 
     def __post_init__(self):
         if self.d1_max < 1:
             raise ValueError(f"d1_max must be >= 1, got {self.d1_max}")
         if self.d2_max < 3:
             raise ValueError(f"d2_max must be >= 3, got {self.d2_max}")
-        if self.d2_min != 3:
-            raise ValueError("d2_min is fixed at 3")
 
 
 DEFAULT_GRID = GridSpec(1999, 1999)
@@ -188,7 +185,7 @@ def _block_bound(kappa, a_lo, a_hi, b_lo, b_hi, config):
 
 @contextmanager
 def _naming_cell(kappa):
-    """Re-raise a grid evaluation's ConvergenceError naming kappa and the cell."""
+    """Re-raise a ConvergenceError naming kappa and the cell; only grid_infimum enters it."""
     try:
         yield
     except ConvergenceError as exc:
@@ -202,9 +199,9 @@ def _naming_cell(kappa):
 
 
 def _min_cell(kappa, a, b, config):
-    """(value, d1, d2) of the first smallest probe value over flat shape arrays."""
-    with _naming_cell(kappa):
-        vals = _probe(kappa, a, b, config)
+    """(value, d1, d2) of the first smallest probe value over flat shape
+    arrays; grid_infimum names a ConvergenceError."""
+    vals = _probe(kappa, a, b, config)
     i = int(np.argmin(vals))
     # halves of integers are exact doubles, so 2a and 2b recover the cell
     return float(vals[i]), int(2.0 * a[i]), int(2.0 * b[i])
@@ -213,9 +210,8 @@ def _min_cell(kappa, a, b, config):
 def _segment_bound(kappa, a, b_hi, config):
     """Lower bound of the probe over every cell of row a up to b_hi: the
     probe at min(kappa, 1) and b_hi, by the paper's theorem (see the module
-    docstring). A ConvergenceError names the scan's kappa and the cell."""
-    with _naming_cell(kappa):
-        return _probe(min(kappa, 1.0), a, b_hi, config)
+    docstring). grid_infimum names a ConvergenceError with the scan's kappa."""
+    return _probe(min(kappa, 1.0), a, b_hi, config)
 
 
 def _segment_ends(cols, d2_max):
@@ -454,24 +450,28 @@ def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, config: EvalConfig = DEFA
     workers > 1 and two or more stripes have live cells. Ties go to the
     smallest d1, then the smallest d2, and the reduction runs in fixed
     stripe order, so the result (and every intermediate value) is
-    independent of the worker count.
+    independent of the worker count. kappa * d1_max/2 must be finite. A
+    ConvergenceError in the seed, the pass or a stripe, a pool worker's
+    too, is re-raised here naming kappa and the cell, with its iterations
+    and args_at_failure unchanged.
     """
-    k = _check_kappa(kappa)
-    seed = _seed(k, grid, config)
-    live = _live_blocks(k, grid, seed[0] + _PRUNE_MARGIN, config)
-    # the seed has evaluated row d1 = 1, and its first-occurrence argmin is
-    # the lexicographic minimum of those cells
-    live[0] = False
-    jobs = [
-        (lo + 1, rows, grid.d2_max, k, config)
-        for lo in range(0, grid.d1_max, _STRIPE_ROWS)
-        if (rows := live[lo : lo + _STRIPE_ROWS]).any()
-    ]
-    if workers is not None and workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_scan_stripe, jobs))
-    else:
-        partials = [_scan_stripe(j) for j in jobs]
+    k = _check_kappa(kappa, grid.d1_max / 2.0)
+    with _naming_cell(k):
+        seed = _seed(k, grid, config)
+        live = _live_blocks(k, grid, seed[0] + _PRUNE_MARGIN, config)
+        # the seed has evaluated row d1 = 1, and its first-occurrence argmin
+        # is the lexicographic minimum of those cells
+        live[0] = False
+        jobs = [
+            (lo + 1, rows, grid.d2_max, k, config)
+            for lo in range(0, grid.d1_max, _STRIPE_ROWS)
+            if (rows := live[lo : lo + _STRIPE_ROWS]).any()
+        ]
+        if workers is not None and workers > 1 and len(jobs) > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                partials = list(pool.map(_scan_stripe, jobs))
+        else:
+            partials = [_scan_stripe(j) for j in jobs]
 
     # lexicographic (value, d1, d2) minimum; the seed is a grid cell too,
     # and stands alone when no stripe has a live cell (such a stripe is no job)
@@ -484,17 +484,10 @@ def limit_b(a, kappa, config: EvalConfig = DEFAULT_CONFIG):
 
     A kappa * a that overflows is a ValueError naming kappa and that a.
     """
-    k = _check_kappa(kappa)
     arr = np.asarray(a, dtype=np.float64)
     if (arr <= 0.0).any():
         raise ValueError("limit_b requires a > 0")
-    with np.errstate(over="ignore"):
-        ka = k * arr
-    finite = np.isfinite(ka)
-    if not finite.all():
-        bad = float(arr[~finite][0])
-        raise ValueError(f"limit_b requires kappa * a finite, got kappa={k!r} and a={bad!r}")
-    return reg_lower_gamma(arr, ka, config)
+    return reg_lower_gamma(arr, _check_kappa(kappa, arr) * arr, config)
 
 
 def limit_curve_min(kappa, a_grid, config: EvalConfig = DEFAULT_CONFIG):
@@ -543,9 +536,9 @@ def infimum(kappa, grid: GridSpec = DEFAULT_GRID, a_grid=None,
     the grid minimum leans on the theorem there;
     verify.check_monotone_b keeps testing it on its own sample.
     """
-    k = _check_kappa(kappa)
     if a_grid is None:
         a_grid = default_a_grid()
+    k = _check_kappa(kappa, np.append(grid.d1_max / 2.0, a_grid))
     gres = grid_infimum(k, grid, config, workers)
     lmin, larg = limit_curve_min(k, a_grid, config)
 

@@ -163,8 +163,10 @@ def _ts_log_integrals(hi, am1, bm1, config):
         # h is baked into ww, so halving h halves the carried-over sum
         total = 0.5 * total + expo.sum(axis=1)
 
-        log_val = np.array([math.log(t) + s for t, s in zip(total.tolist(), scale.tolist())])
-        done = np.abs(log_val - prev) <= rel_tol
+        # a sum that underflows to 0 (hi = 5e-324) logs as -inf, converged once it repeats
+        log_val = np.array([math.log(t) if t else -math.inf for t in total.tolist()]) + scale
+        with np.errstate(invalid="ignore"):
+            done = (log_val == prev) | (np.abs(log_val - prev) <= rel_tol)
         prev = log_val
         if done.any():
             out[idx[done]] = log_val[done]
@@ -187,7 +189,8 @@ def quad_inc_beta(x, a, b, config: EvalConfig = DEFAULT_CONFIG):
     (hi = x), a second their complete ones (hi = 1.0) from the cached
     per-level tables. Each element gets the bits its scalar call gives,
     and a failure names the integral a scalar loop would fail on first,
-    in the order partial, complete, next element's partial and so on.
+    in the order partial, complete, next element's partial and so on. A
+    partial integral that underflows to 0 (x = 5e-324) gives 0.0.
     """
     (x, a, b), shape, scalar = _prepare(x, a, b)
     if not ((0.0 <= x) & (x <= 1.0)).all():
@@ -314,11 +317,11 @@ def check_monotone_b(kappa, d1_list: Sequence[int], d2_range, tol_strict: float 
     >= 1 is a ValueError. The grid scan's row-segment bound rests on this
     theorem, and this check tests it on its own sample.
     """
-    kappa = _check_kappa(kappa)
     d1s = _nonempty("d1_list", d1_list)
     bad = d1s[~(np.isfinite(d1s) & (np.floor(d1s) == d1s) & (d1s >= 1.0))]
     if bad.size:
         raise ValueError(f"d1_list must hold integers >= 1, got {float(bad[0])!r}")
+    kappa = _check_kappa(kappa, d1s / 2.0)
     d2s = np.asarray(list(d2_range), dtype=np.int64)
     if d2s.size < 2 or (np.diff(d2s) != 1).any() or d2s[0] < 3:
         raise ValueError("d2_range must be consecutive integers starting at >= 3")
@@ -353,7 +356,7 @@ def check_limit(a_list, kappa_list, b_ladder, final_tol: float = 1e-3,
     names the first (a, kappa), a-major, at its first non-shrinking step.
     """
     a = _nonempty("a_list", a_list)
-    kappas = [_check_kappa(k) for k in _nonempty("kappa_list", kappa_list)]
+    kappas = [_check_kappa(k, a) for k in _nonempty("kappa_list", kappa_list)]
     ladder = np.asarray(list(b_ladder), dtype=np.float64)
     if ladder.size < 2 or (np.diff(ladder) <= 0.0).any():
         raise ValueError("b ladder must be increasing with at least two rungs")
@@ -389,20 +392,18 @@ def check_kappa_monotone(p_sample, kappa_ladder, config: EvalConfig = DEFAULT_CO
     Each pair is an FParams or a (d1, d2) pair taken as given, so a pair that
     is not integral is FParams' ValueError.
     """
-    ladder = [_check_kappa(k) for k in kappa_ladder]
-    if len(ladder) == 0:
-        raise ValueError("kappa ladder must be nonempty")
-    if any(k2 <= k1 for k1, k2 in zip(ladder, ladder[1:])):
-        raise ValueError("kappa ladder must be strictly increasing")
     params = [p if isinstance(p, FParams) else FParams(p[0], p[1]) for p in p_sample]
     if not params:
         raise ValueError("p_sample must be nonempty")
+    shapes = np.array([(p.d1, p.d2) for p in params], dtype=np.float64) / 2.0
+    ladder = [_check_kappa(k, shapes[:, 0]) for k in _nonempty("kappa_ladder", kappa_ladder)]
+    if any(k2 <= k1 for k1, k2 in zip(ladder, ladder[1:])):
+        raise ValueError("kappa ladder must be strictly increasing")
     if len(ladder) == 1:
         return CheckResult(
             name="monotone-in-kappa", samples=0, max_residual=0.0, passed=True,
             detail="singleton ladder: vacuous pass",
         )
-    shapes = np.array([(p.d1, p.d2) for p in params], dtype=np.float64) / 2.0
     incs = np.diff(_probe(np.asarray(ladder), shapes[:, :1], shapes[:, 1:], config), axis=1)
     min_inc = float(incs.min())
     bad = np.argwhere(incs <= 0.0)

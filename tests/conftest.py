@@ -1,7 +1,11 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # kappas of the reference table plus two below 1
 PROBE_KAPPAS = (0.5, 0.9, 1.0, 1.00005, 1.001, 1.005, 1.05, 1.5, 3.0, 3.005, 3.05, math.pi, 4.0, 6.0, 8.0, 16.0)
@@ -19,3 +23,10 @@ def seeded_triples(seed, n, lo, hi):
     a = np.exp(g.uniform(np.log(lo), np.log(hi), n))
     b = np.exp(g.uniform(np.log(lo), np.log(hi), n))
     return np.column_stack([x, a, b])
+
+
+def child_env():
+    """os.environ with this checkout's src first on PYTHONPATH, so a child
+    process imports the fconc under test, installed or not."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

@@ -30,7 +30,7 @@ from fconc import (
     reg_inc_beta,
 )
 
-from conftest import seeded_triples
+from conftest import child_env, seeded_triples
 
 CAPS = GridSpec(1999, 1999)
 
@@ -90,7 +90,7 @@ def test_criterion_2_anomalous_row_adjudication(full_table, capsys):
     cli = subprocess.run(
         [sys.executable, "-m", "fconc.cli", "table", "--d1-max", "5", "--d2-max", "5",
          "--format", "csv"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     flagged = cli.returncode == 0 and any(
         ln.startswith("3,") and ln.endswith("paper-row-inconsistent")
@@ -193,7 +193,7 @@ def test_criterion_9_byte_identical_table_runs():
         return subprocess.run(
             [sys.executable, "-m", "fconc.cli", "table", "--d1-max", "300", "--d2-max", "300",
              "--format", "csv", "--workers", str(workers)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
 
     first, second = run(1), run(2)

@@ -8,6 +8,8 @@ import pytest
 
 from fconc import cli, probe
 
+from conftest import child_env
+
 _scan_stripe = probe._scan_stripe
 
 
@@ -16,6 +18,7 @@ def run_cli(*args):
         [sys.executable, "-m", "fconc.cli", *args],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
 
 

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from fconc import FParams, ShapePair, cdf, mean, prob_leq_kappa_mean, probe, threshold
+from fconc import FParams, ShapePair, cdf, mean, prob_leq_kappa_mean, probe, threshold, verify
+from fconc.fdist import _check_kappa
 from fconc.special import DEFAULT_CONFIG
 
 
@@ -135,3 +137,34 @@ class TestProbe:
     def test_equals_grid_kernel_bitwise(self, d1, d2, kappa):
         cell, _, _ = probe._min_cell(kappa, np.array([d1 / 2.0]), np.array([d2 / 2.0]), DEFAULT_CONFIG)
         assert prob_leq_kappa_mean(FParams(d1, d2), kappa) == cell
+
+
+class TestKappaGate:
+    # each entry point that forms kappa * a, at kappa = 1e308 on shapes with
+    # a = 2.5; threshold used to return NaN and the rest to overflow with a
+    # RuntimeWarning before failing inside reg_inc_beta or reg_lower_gamma
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda k: threshold(ShapePair(2.5, 2.5), k),
+            lambda k: prob_leq_kappa_mean(FParams(5, 5), k),
+            lambda k: probe.grid_infimum(k, probe.GridSpec(5, 5)),
+            lambda k: probe.infimum(k, probe.GridSpec(5, 5), a_grid=[1.0]),
+            lambda k: probe.limit_b([1.0, 2.5], k),
+            lambda k: verify.check_monotone_b(k, [5], range(3, 10)),
+            lambda k: verify.check_kappa_monotone([(5, 5)], (1.0, k)),
+            lambda k: verify.check_limit((2.5,), (k,), [2.0, 4.0]),
+        ],
+        ids=["threshold", "prob_leq_kappa_mean", "grid_infimum", "infimum", "limit_b",
+             "check_monotone_b", "check_kappa_monotone", "check_limit"],
+    )
+    def test_overflowing_kappa_names_kappa_and_a(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"kappa \* a finite, got kappa=1e\+308 and a=2\.5"):
+                call(1e308)
+
+    def test_names_first_overflowing_a_in_order(self):
+        with pytest.raises(ValueError, match=r"got kappa=2\.0 and a=1e\+308$"):
+            _check_kappa(2.0, [1.0, 1e308, 1.5e308, 8.0])
+        assert _check_kappa(2.0, np.array([[1.0, 8.0e307]])) == 2.0

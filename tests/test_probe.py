@@ -32,7 +32,8 @@ class TestGridSpec:
             GridSpec(0, 10)
         with pytest.raises(ValueError):
             GridSpec(5, 2)
-        with pytest.raises(ValueError):
+        # d2 starts at 3; there is no field to move it
+        with pytest.raises(TypeError):
             GridSpec(5, 5, d2_min=4)
 
 
@@ -459,7 +460,8 @@ class TestGridInfimum:
         # than 100 iterations, and it runs on the symmetry branch
         cfg = EvalConfig(cf_max_iter=100)
         with pytest.raises(ConvergenceError, match=r"\(d1, d2\) = \(60000, 60010\)"):
-            probe._min_cell(1.00005, np.array([30000.0]), np.array([30005.0]), cfg)
+            with probe._naming_cell(1.00005):
+                probe._min_cell(1.00005, np.array([30000.0]), np.array([30005.0]), cfg)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -531,6 +533,30 @@ class TestGridInfimum:
         caps = ["--d1-max", "140", "--d2-max", "100", "--a-max", "5"]
         assert cli.main(["inf", "--kappa", "1.00005", *caps, *workers]) == cli.EXIT_NUMERICAL
         assert "grid scan at kappa=1.00005: convergence failure at (d1, d2) = (135, 66)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("failing_call", [1, 2], ids=["block-level", "strip-level"])
+    def test_cli_convergence_failure_in_block_bound_names_cell(self, monkeypatch, capsys, failing_call):
+        # only _block_bound calls probe.reg_inc_beta: its first non-empty call
+        # bounds the 16 x 16 blocks, its second the strips; at kappa = 1.5 and
+        # caps (40, 40) both levels bound a live block
+        kernel = probe.reg_inc_beta
+        calls, failed = [], []
+
+        def fail_on_call(x, a, b, config):
+            x, a, b = np.broadcast_arrays(x, a, b)
+            if x.size:
+                calls.append(x.size)
+                if len(calls) == failing_call:
+                    failed.append((int(2.0 * a[0]), int(2.0 * b[0])))
+                    raise ConvergenceError("forced failure", 100, (float(x[0]), float(a[0]), float(b[0])))
+            return kernel(x, a, b, config)
+
+        monkeypatch.setattr(probe, "reg_inc_beta", fail_on_call)
+        caps = ["--d1-max", "40", "--d2-max", "40", "--a-max", "5"]
+        assert cli.main(["inf", "--kappa", "1.5", *caps]) == cli.EXIT_NUMERICAL
+        d1, d2 = failed[0]
+        err = capsys.readouterr().err
+        assert f"grid scan at kappa=1.5: convergence failure at (d1, d2) = ({d1}, {d2})" in err
 
 
 class TestLimitCurve:

@@ -91,6 +91,22 @@ class TestQuadIncBeta:
         assert [[v.hex() for v in row] for row in got.tolist()] == loop
         assert type(quad_inc_beta(np.float64(0.35), 3, 2.5)) is float
 
+    def test_underflowing_partial_integral_gives_zero(self):
+        # hi = 5e-324 halves to 0.0, so every node weight and the node sum
+        # are 0; math.log(0.0) used to raise a bare "math domain error".
+        # I_x(1, 1) = x, so 0.0 is within 5e-324 of the true value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert quad_inc_beta(5e-324, 1.0, 1.0) == 0.0
+            s = seeded_triples(3, 64, 0.5, 2000.0)
+            s[17] = (5e-324, 1.0, 1.0)
+            got = quad_inc_beta(s[:, 0], s[:, 1], s[:, 2])
+        assert got[17] == 0.0
+        rest = np.arange(64) != 17
+        assert [v.hex() for v in got[rest].tolist()] == [_quad_ref(*row).hex() for row in s[rest].tolist()]
+        # a subnormal x whose half is not 0 keeps the bits it had
+        assert quad_inc_beta(1e-310, 1.0, 1.0).hex() == "0x0.012688b70e632p-1022"
+        assert quad_inc_beta(1e-310, 0.5, 3.0).hex() == "0x1.516b25153bed2p-532"
 
     @pytest.mark.parametrize("first, second", [(0, 1), (63, 64), (5, 100)])
     @pytest.mark.parametrize("complete_first", [True, False])
