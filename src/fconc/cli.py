@@ -35,7 +35,7 @@ import json
 import math
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -75,15 +75,10 @@ INCONSISTENT_KAPPAS = (3.0,)
 
 CSV_HEADER = "kappa,inf_value,d1,d2,limit_min,limit_argmin_a,flags"
 
-_CONFIG_KEYS = {
-    "cf_tolerance": float,
-    "cf_max_iter": int,
-    "quad_tolerance": float,
-    "quad_max_level": int,
-    "d1_max": int,
-    "d2_max": int,
-    "workers": int,
-}
+# settings a flag can give too; the config file takes them and EvalConfig's
+# fields, each parsed by the type of its default
+_FLAG_KEYS = ("d1_max", "d2_max", "workers")
+_CONFIG_KEYS = {f.name: type(f.default) for f in fields(EvalConfig)} | dict.fromkeys(_FLAG_KEYS, int)
 
 
 class UsageError(Exception):
@@ -177,7 +172,7 @@ def _load_config_file(path) -> dict:
 def _resolve_settings(args):
     """EvalConfig, GridSpec and workers from defaults < config file < flags."""
     values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in ("d1_max", "d2_max", "workers"):
+    for key in _FLAG_KEYS:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
     workers = values.pop("workers", None)

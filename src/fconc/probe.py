@@ -54,6 +54,7 @@ from .special import (
     ConvergenceError,
     EvalConfig,
     _CHUNK,
+    _check_caps,
     _grid_beta_density,
     _ln_lanczos_halves,
     reg_inc_beta,
@@ -116,16 +117,13 @@ _INCREMENT_MARGIN = REG_INC_BETA_ABS_ERR
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Search caps for the integer (d1, d2) grid; d2 starts at 3, as the mean needs d2 > 2."""
+    """Integer search caps for the (d1, d2) grid; d2 starts at 3, as the mean needs d2 > 2."""
 
     d1_max: int
     d2_max: int
 
     def __post_init__(self):
-        if self.d1_max < 1:
-            raise ValueError(f"d1_max must be >= 1, got {self.d1_max}")
-        if self.d2_max < 3:
-            raise ValueError(f"d2_max must be >= 3, got {self.d2_max}")
+        _check_caps(self, d1_max=1, d2_max=3)
 
 
 DEFAULT_GRID = GridSpec(1999, 1999)

@@ -53,6 +53,7 @@ DEFAULT_SEED = 1729
 # Cap on the tanh-sinh t-domain variable so exp(2z) stays a normal double.
 _Z_MAX = 340.0
 _KH_MAX = math.asinh(2.0 * _Z_MAX / math.pi)
+_X_TINY = 1e-280  # see quad_inc_beta
 # Elements per chunk of the oracle, whose partial and complete integrals are
 # one kernel call each. Fewer rows pay numpy's per-call overhead more often;
 # more rows, or a whole sample at once, raise peak memory.
@@ -189,8 +190,10 @@ def quad_inc_beta(x, a, b, config: EvalConfig = DEFAULT_CONFIG):
     (hi = x), a second their complete ones (hi = 1.0) from the cached
     per-level tables. Each element gets the bits its scalar call gives,
     and a failure names the integral a scalar loop would fail on first,
-    in the order partial, complete, next element's partial and so on. A
-    partial integral that underflows to 0 (x = 5e-324) gives 0.0.
+    in the order partial, complete, next element's partial and so on.
+    Where x (1 + |b - 1|) < _X_TINY, the weights and node distances of
+    [0, x] underflow, but (1 - t)^(b-1) is 1 there within a relative
+    1e-280: the partial integral is x^a times that of u^(a-1) over [0, 1].
     """
     (x, a, b), shape, scalar = _prepare(x, a, b)
     if not ((0.0 <= x) & (x <= 1.0)).all():
@@ -204,10 +207,12 @@ def quad_inc_beta(x, a, b, config: EvalConfig = DEFAULT_CONFIG):
     out = np.where(x == 1.0, 1.0, 0.0)
     inner = np.flatnonzero((x > 0.0) & (x < 1.0))
     hi, am1, bm1 = x[inner], a[inner] - 1.0, b[inner] - 1.0
+    tiny = hi * (1.0 + np.abs(bm1)) < _X_TINY
+    part_hi, part_bm1 = np.where(tiny, 1.0, hi), np.where(tiny, 0.0, bm1)
     num, den = np.empty(inner.size), np.empty(inner.size)
     for lo in range(0, inner.size, _ROWS):
         rows = slice(lo, lo + _ROWS)
-        num[rows], p = _ts_log_integrals(hi[rows], am1[rows], bm1[rows], config)
+        num[rows], p = _ts_log_integrals(part_hi[rows], am1[rows], part_bm1[rows], config)
         den[rows], c = _ts_log_integrals(None, am1[rows], bm1[rows], config)
         if min(p, c) < num[rows].size:
             # a scalar loop meets an element's partial integral before its complete one
@@ -219,6 +224,7 @@ def quad_inc_beta(x, a, b, config: EvalConfig = DEFAULT_CONFIG):
                 config.quad_max_level,
                 args_at_failure=args,
             )
+    num[tiny] += [ai * math.log(xi) for ai, xi in zip(a[inner][tiny].tolist(), hi[tiny].tolist())]
     out[inner] = [min(1.0, math.exp(n - d)) for n, d in zip(num.tolist(), den.tolist())]
     return _finish(out, shape, scalar)
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import fconc.verify
 from fconc import cli, probe
 
 from conftest import child_env
@@ -211,30 +212,33 @@ class TestVerify:
         p = run_cli("verify", "--profile", "huge")
         assert p.returncode == 2
 
-    def test_degraded_tolerance_fails_with_named_check(self, tmp_path):
-        # a barely-legal cf_tolerance degrades the continued fraction enough
-        # that the identity residuals blow past their bounds
-        cfg = tmp_path / "loose.cfg"
-        cfg.write_text("cf_tolerance=9e-7\n")
-        p = run_cli("verify", "--profile", "quick", "--config", str(cfg))
-        assert p.returncode == 1
-        assert "verification failed:" in p.stderr
-        assert "recurrence-identity" in p.stderr
+    def test_degraded_tolerance_fails_with_named_check(self, monkeypatch, capsys):
+        # ln_beta shifted by 1e-6 moves the recurrence's correction term
+        # enough that the identity residuals blow past their bound
+        ln_beta = fconc.verify.ln_beta
+        monkeypatch.setattr(fconc.verify, "ln_beta", lambda a, b: ln_beta(a, b) + 1e-6)
+        code = cli.main(["verify", "--profile", "quick"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "verification failed:" in err
+        assert "recurrence-identity" in err
 
 
 class TestConfigFile:
     def test_override_applies(self, tmp_path):
         cfg = tmp_path / "fconc.cfg"
-        cfg.write_text("cf_max_iter=150\n# comment\ncf_tolerance=1e-14\n")
+        cfg.write_text("cf_max_iter=150\n# comment\nquad_tolerance=1e-9\n")
         p = run_cli("prob", "--d1", "2", "--d2", "4", "--kappa", "1", "--config", str(cfg))
         assert p.returncode == 0
 
     def test_unknown_key_usage_error(self, tmp_path):
+        # cf_tolerance was a key until the continued fractions' tolerance was fixed
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("mystery=1\n")
-        p = run_cli("prob", "--d1", "2", "--d2", "4", "--config", str(cfg))
-        assert p.returncode == 2
-        assert "unknown config key" in p.stderr
+        for text in ("mystery=1\n", "cf_tolerance=1e-14\n"):
+            cfg.write_text(text)
+            p = run_cli("prob", "--d1", "2", "--d2", "4", "--config", str(cfg))
+            assert p.returncode == 2
+            assert "unknown config key" in p.stderr
 
     def test_flags_beat_config(self, tmp_path):
         cfg = tmp_path / "caps.cfg"

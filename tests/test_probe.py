@@ -32,6 +32,10 @@ class TestGridSpec:
             GridSpec(0, 10)
         with pytest.raises(ValueError):
             GridSpec(5, 2)
+        # a cap that is not an integer fails here, not in the scan or the kappa gate
+        for caps in [(10.5, 20), (math.nan, 5), (5, 20.0)]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                GridSpec(*caps)
         # d2 starts at 3; there is no field to move it
         with pytest.raises(TypeError):
             GridSpec(5, 5, d2_min=4)

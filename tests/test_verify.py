@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -92,21 +93,39 @@ class TestQuadIncBeta:
         assert type(quad_inc_beta(np.float64(0.35), 3, 2.5)) is float
 
     def test_underflowing_partial_integral_gives_zero(self):
-        # hi = 5e-324 halves to 0.0, so every node weight and the node sum
-        # are 0; math.log(0.0) used to raise a bare "math domain error".
-        # I_x(1, 1) = x, so 0.0 is within 5e-324 of the true value
+        # I_x(2, 1) = x^2 underflows at x = 5e-324: the partial integral,
+        # scaled from [0, 1], has a finite log whose exp is 0.0, with no
+        # warning, and the other rows keep the bits of their scalar calls
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert quad_inc_beta(5e-324, 1.0, 1.0) == 0.0
+            assert quad_inc_beta(5e-324, 2.0, 1.0) == 0.0
             s = seeded_triples(3, 64, 0.5, 2000.0)
-            s[17] = (5e-324, 1.0, 1.0)
+            s[17] = (5e-324, 2.0, 1.0)
             got = quad_inc_beta(s[:, 0], s[:, 1], s[:, 2])
         assert got[17] == 0.0
         rest = np.arange(64) != 17
         assert [v.hex() for v in got[rest].tolist()] == [_quad_ref(*row).hex() for row in s[rest].tolist()]
-        # a subnormal x whose half is not 0 keeps the bits it had
-        assert quad_inc_beta(1e-310, 1.0, 1.0).hex() == "0x0.012688b70e632p-1022"
-        assert quad_inc_beta(1e-310, 0.5, 3.0).hex() == "0x1.516b25153bed2p-532"
+        # subnormal x give their closed forms, x and 15/16 * 2 sqrt(x)
+        assert quad_inc_beta(5e-324, 1.0, 1.0) == 5e-324
+        assert quad_inc_beta(1e-310, 1.0, 1.0) == pytest.approx(1e-310, rel=1e-12)
+        assert quad_inc_beta(1e-310, 0.5, 3.0) == pytest.approx(1.875e-155, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [0.5, 2.0, 700.0])
+    def test_tiny_x_against_mpmath(self, a):
+        # taken over [0, x], a partial integral's weights and node distances
+        # underflow for tiny x, and refinement stalled at the cap at 1e-295,
+        # 1e-299, 1e-315 and 1e-320. Held to the documented 1e-12 absolute error, and
+        # below _X_TINY, where I_x is a normal double, to 1e-12 relative
+        # (measured: 4e-14)
+        mpmath = pytest.importorskip("mpmath")
+        xs = [1e-280, 1e-285, 1e-290, 1e-295, 1e-299, 1e-301, 1e-305, 1e-308, 1e-310, 1e-315, 1e-320, 5e-324]
+        got = quad_inc_beta(np.array(xs), a, 3.0)
+        with mpmath.workdps(40):
+            for x, g in zip(xs, got.tolist()):
+                ref = mpmath.betainc(a, 3.0, 0, x, regularized=True)
+                assert abs(float(ref - g)) <= 1e-12, x
+                if x < fconc.verify._X_TINY and ref >= sys.float_info.min:
+                    assert abs(float((g - ref) / ref)) <= 1e-12, x
 
     @pytest.mark.parametrize("first, second", [(0, 1), (63, 64), (5, 100)])
     @pytest.mark.parametrize("complete_first", [True, False])
