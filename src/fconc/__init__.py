@@ -9,8 +9,6 @@ rests on.
 
 from .special import (
     ConvergenceError,
-    DEFAULT_CONFIG,
-    EvalConfig,
     beta,
     ln_beta,
     ln_gamma,
@@ -45,8 +43,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EvalConfig",
-    "DEFAULT_CONFIG",
     "ConvergenceError",
     "ln_gamma",
     "ln_beta",

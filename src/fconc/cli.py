@@ -21,11 +21,11 @@ and JSON fields are kappa,inf_value,d1,d2,limit_min,limit_argmin_a,flags
 Exit codes: 0 success, 1 verification/assertion failure, 2 usage error,
 3 numerical convergence failure, 4 a pool worker process died (killed, or
 out of memory) before returning its stripe, 5 the output could not be
-written (stdout or --out; a full disk, a closed pipe). A --workers (or config
-``workers``) below 1 is a usage error, and so are a kappa whose product with
-the largest shape the command forms is not finite, a --config or --out path
-that cannot be opened, a config file that is not UTF-8, and a negative
---seed; a convergence failure inside a pool worker still exits with 3.
+written (stdout or --out; a full disk, a closed pipe). A --workers below 1
+is a usage error, and so are a kappa whose product with the largest shape
+the command forms is not finite, an --out path that cannot be opened, and a
+negative --seed; a convergence failure inside a pool worker still exits
+with 3.
 """
 
 from __future__ import annotations
@@ -34,14 +34,13 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .fdist import FParams, _check_kappa, prob_leq_kappa_mean, threshold
 from .probe import DEFAULT_GRID, GridSpec, conjecture_probe, default_a_grid, infimum
-from .special import ConvergenceError, EvalConfig
+from .special import ConvergenceError
 from .verify import DEFAULT_SEED, run_suite
 
 EXIT_OK = 0
@@ -74,11 +73,6 @@ REFERENCE_TABLE = [
 INCONSISTENT_KAPPAS = (3.0,)
 
 CSV_HEADER = "kappa,inf_value,d1,d2,limit_min,limit_argmin_a,flags"
-
-# settings a flag can give too; the config file takes them and EvalConfig's
-# fields, each parsed by the type of its default
-_FLAG_KEYS = ("d1_max", "d2_max", "workers")
-_CONFIG_KEYS = {f.name: type(f.default) for f in fields(EvalConfig)} | dict.fromkeys(_FLAG_KEYS, int)
 
 
 class UsageError(Exception):
@@ -143,47 +137,15 @@ def _emit_results(args, results, render_text=None):
     _emit(render_text(results) if args.format == "text" else _records(results, args.format), args.out)
 
 
-def _load_config_file(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(str(exc)) from exc
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-    values = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            values[key] = _CONFIG_KEYS[key](val.strip())
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    return values
-
-
 def _resolve_settings(args):
-    """EvalConfig, GridSpec and workers from defaults < config file < flags."""
-    values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in _FLAG_KEYS:
-        if getattr(args, key, None) is not None:
-            values[key] = getattr(args, key)
-    workers = values.pop("workers", None)
-    caps = [values.pop(key, getattr(DEFAULT_GRID, key)) for key in ("d1_max", "d2_max")]
+    """GridSpec and workers from the flags."""
     try:
-        config, grid = EvalConfig(**values), GridSpec(*caps)
+        grid = GridSpec(args.d1_max, args.d2_max)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if workers is not None and workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
-    return config, grid, workers
+    if args.workers is not None and args.workers < 1:
+        raise UsageError(f"workers must be >= 1, got {args.workers}")
+    return grid, args.workers
 
 
 def _check_kappa_arg(flag, kappa, *shapes):
@@ -218,12 +180,12 @@ def _table_text(results) -> str:
 
 
 def cmd_table(args) -> int:
-    config, grid, workers = _resolve_settings(args)
+    grid, workers = _resolve_settings(args)
     # every table kappa is above 1; the rows carry only the reference flag,
     # not the regime flag infimum attaches
     results = [
         replace(
-            infimum(kappa, grid, None, config, workers),
+            infimum(kappa, grid, None, workers),
             flags=(FLAG_PAPER_ROW_INCONSISTENT,) if kappa in INCONSISTENT_KAPPAS else (),
         )
         for kappa, *_ in REFERENCE_TABLE
@@ -253,14 +215,14 @@ def _inf_text(res, report) -> str:
 
 
 def cmd_inf(args) -> int:
-    config, grid, workers = _resolve_settings(args)
+    grid, workers = _resolve_settings(args)
     try:
         a_grid = default_a_grid(args.a_max)
     except ValueError as exc:
         raise UsageError(f"--a-max: {exc}") from exc
     _check_kappa_arg("--kappa", args.kappa, grid.d1_max / 2.0, a_grid[-1])
-    report = conjecture_probe(args.kappa, grid, a_grid, config, workers) if args.kappa > 1.0 else None
-    res = report.result if report else infimum(args.kappa, grid, a_grid, config, workers)
+    report = conjecture_probe(args.kappa, grid, a_grid, workers) if args.kappa > 1.0 else None
+    res = report.result if report else infimum(args.kappa, grid, a_grid, workers)
     _emit_results(args, [res], lambda results: _inf_text(*results, report))
 
     if report and report.falsified:
@@ -274,7 +236,6 @@ def cmd_inf(args) -> int:
 
 
 def cmd_prob(args) -> int:
-    config, _, _ = _resolve_settings(args)
     if args.d2 <= 2:
         raise UsageError(
             f"d2 = {args.d2} is invalid: the F mean d2/(d2-2) does not exist for d2 <= 2"
@@ -285,7 +246,7 @@ def cmd_prob(args) -> int:
     p = FParams(args.d1, args.d2)
     s = p.shape()
     q = threshold(s, args.kappa)
-    val = prob_leq_kappa_mean(p, args.kappa, config)
+    val = prob_leq_kappa_mean(p, args.kappa)
     _emit(
         f"P(X <= kappa E[X]) = {val:.17g}\n"
         f"threshold q        = {q:.17g}\n"
@@ -296,7 +257,7 @@ def cmd_prob(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config, grid, workers = _resolve_settings(args)
+    grid, workers = _resolve_settings(args)
     if args.steps < 2:
         raise UsageError("--steps must be >= 2")
     a_grid = default_a_grid()
@@ -305,7 +266,7 @@ def cmd_sweep(args) -> int:
     if not args.kappa_from < args.kappa_to:
         raise UsageError("need --kappa-from < --kappa-to")
     kappas = np.linspace(args.kappa_from, args.kappa_to, args.steps)
-    results = [infimum(float(kappa), grid, a_grid, config, workers) for kappa in kappas]
+    results = [infimum(float(kappa), grid, a_grid, workers) for kappa in kappas]
     for r1, r2 in zip(results, results[1:]):
         if r2.grid_min < r1.grid_min:
             print(
@@ -319,10 +280,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config, _, _ = _resolve_settings(args)
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    report = run_suite(profile=args.profile, seed=args.seed, config=config)
+    report = run_suite(profile=args.profile, seed=args.seed)
     if args.format == "json":
         _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
     else:
@@ -351,23 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, caps=True, out=True, formats=("text", "csv", "json"), workers=True):
-        p.add_argument(
-            "--config",
-            help="key=value file overriding tolerances" + (" and caps" if caps else ""),
-        )
-        if caps:
-            p.add_argument("--d1-max", type=int, help="d1 search cap (default 1999)")
-            p.add_argument("--d2-max", type=int, help="d2 search cap (default 1999)")
-        if out:
-            p.add_argument("--out", help="output path (default stdout)")
+    def add_common(p, scan=True, formats=("text", "csv", "json")):
+        if scan:
+            p.add_argument("--d1-max", type=int, default=DEFAULT_GRID.d1_max, help="d1 search cap (default 1999)")
+            p.add_argument("--d2-max", type=int, default=DEFAULT_GRID.d2_max, help="d2 search cap (default 1999)")
+            p.add_argument("--workers", type=int, help="process count for the grid scan")
+        p.add_argument("--out", help="output path (default stdout)")
         if formats:
             p.add_argument(
                 "--format", choices=formats, default="text",
                 help="output format (default text)",
             )
-        if workers:
-            p.add_argument("--workers", type=int, help="process count for the grid scan")
 
     p_table = sub.add_parser("table", help="reproduce the 13-kappa reference table")
     add_common(p_table)
@@ -383,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prob.add_argument("--d1", type=int, required=True)
     p_prob.add_argument("--d2", type=int, required=True)
     p_prob.add_argument("--kappa", type=float, default=1.0)
-    add_common(p_prob, caps=False, out=False, formats=(), workers=False)
     p_prob.set_defaults(func=cmd_prob)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep of probes over a kappa range")
@@ -396,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--profile", choices=("quick", "full"), default="quick")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_common(p_verify, caps=False, formats=("text", "json"), workers=False)
+    add_common(p_verify, scan=False, formats=("text", "json"))
     p_verify.set_defaults(func=cmd_verify)
 
     return parser
@@ -413,12 +366,18 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"numerical convergence failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except BrokenProcessPool as exc:
-        print(f"worker process died: {exc}", file=sys.stderr)
-        return EXIT_WORKER_DIED
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT_FAILED
+    except Exception as exc:
+        # imported only here, as the pool itself is: a dead worker is the
+        # one other failure with an exit code of its own
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        print(f"worker process died: {exc}", file=sys.stderr)
+        return EXIT_WORKER_DIED
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import DEFAULT_CONFIG, reg_inc_beta
+from .special import reg_inc_beta
 
 __all__ = ["FParams", "ShapePair", "mean", "cdf", "threshold", "prob_leq_kappa_mean"]
 
@@ -82,13 +82,13 @@ def mean(p: FParams) -> float:
     return p.d2 / (p.d2 - 2.0)
 
 
-def cdf(x, p: FParams, config=DEFAULT_CONFIG):
+def cdf(x, p: FParams):
     """P(X <= x) = I_{d1 x / (d1 x + d2)}(d1/2, d2/2) for x >= 0."""
     xa = np.asarray(x, dtype=np.float64)
     if (xa < 0.0).any():
         raise ValueError("cdf requires x >= 0")
     t = p.d1 * xa / (p.d1 * xa + p.d2)
-    return reg_inc_beta(t, p.d1 / 2.0, p.d2 / 2.0, config)
+    return reg_inc_beta(t, p.d1 / 2.0, p.d2 / 2.0)
 
 
 def _threshold(kappa, a, b):
@@ -101,9 +101,9 @@ def _threshold(kappa, a, b):
     return ka / (ka + (b - 1.0))
 
 
-def _probe(kappa, a, b, config):
+def _probe(kappa, a, b):
     """I_q(a, b) with q = _threshold(kappa, a, b): the probe at shapes (a, b)."""
-    return reg_inc_beta(_threshold(kappa, a, b), a, b, config)
+    return reg_inc_beta(_threshold(kappa, a, b), a, b)
 
 
 def threshold(s: ShapePair, kappa) -> float:
@@ -115,7 +115,7 @@ def threshold(s: ShapePair, kappa) -> float:
     return _threshold(_check_kappa(kappa, s.a), s.a, s.b)
 
 
-def prob_leq_kappa_mean(p: FParams, kappa, config=DEFAULT_CONFIG) -> float:
+def prob_leq_kappa_mean(p: FParams, kappa) -> float:
     """P(X <= kappa * E[X]) = I_{q(a,b,kappa)}(a, b).
 
     Formed through the threshold identity q = kappa*a/(kappa*a + b - 1)
@@ -124,4 +124,4 @@ def prob_leq_kappa_mean(p: FParams, kappa, config=DEFAULT_CONFIG) -> float:
     the grid scan's for the same cell, bit for bit.
     """
     s = p.shape()
-    return _probe(_check_kappa(kappa, s.a), s.a, s.b, config)
+    return _probe(_check_kappa(kappa, s.a), s.a, s.b)

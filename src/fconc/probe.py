@@ -39,7 +39,6 @@ on stripe boundaries, so results are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -49,12 +48,9 @@ import numpy as np
 from .fdist import _check_kappa, _probe, _threshold
 from .special import (
     BETA_DENSITY_REL_ERR,
-    DEFAULT_CONFIG,
     REG_INC_BETA_ABS_ERR,
     ConvergenceError,
-    EvalConfig,
     _CHUNK,
-    _check_caps,
     _grid_beta_density,
     _ln_lanczos_halves,
     reg_inc_beta,
@@ -123,7 +119,13 @@ class GridSpec:
     d2_max: int
 
     def __post_init__(self):
-        _check_caps(self, d1_max=1, d2_max=3)
+        # integers (numpy's too): a float cap would fail later, far from its cause
+        for name, low in (("d1_max", 1), ("d2_max", 3)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 DEFAULT_GRID = GridSpec(1999, 1999)
@@ -171,14 +173,14 @@ class ConjectureReport:
     counterexample: Optional[tuple] = None
 
 
-def _block_bound(kappa, a_lo, a_hi, b_lo, b_hi, config):
+def _block_bound(kappa, a_lo, a_hi, b_lo, b_hi):
     """Lower bound of the probe over each block [a_lo, a_hi] x [b_lo, b_hi].
 
     I_{q(a_lo, b_hi)}(a_hi, b_lo): the threshold is at its smallest and the
     shapes at their least favourable corner, so the exact value is at most
     every cell's exact value.
     """
-    return reg_inc_beta(_threshold(kappa, a_lo, b_hi), a_hi, b_lo, config)
+    return reg_inc_beta(_threshold(kappa, a_lo, b_hi), a_hi, b_lo)
 
 
 @contextmanager
@@ -196,20 +198,20 @@ def _naming_cell(kappa):
         ) from exc
 
 
-def _min_cell(kappa, a, b, config):
+def _min_cell(kappa, a, b):
     """(value, d1, d2) of the first smallest probe value over flat shape
     arrays; grid_infimum names a ConvergenceError."""
-    vals = _probe(kappa, a, b, config)
+    vals = _probe(kappa, a, b)
     i = int(np.argmin(vals))
     # halves of integers are exact doubles, so 2a and 2b recover the cell
     return float(vals[i]), int(2.0 * a[i]), int(2.0 * b[i])
 
 
-def _segment_bound(kappa, a, b_hi, config):
+def _segment_bound(kappa, a, b_hi):
     """Lower bound of the probe over every cell of row a up to b_hi: the
     probe at min(kappa, 1) and b_hi, by the paper's theorem (see the module
     docstring). grid_infimum names a ConvergenceError with the scan's kappa."""
-    return _probe(min(kappa, 1.0), a, b_hi, config)
+    return _probe(min(kappa, 1.0), a, b_hi)
 
 
 def _segment_ends(cols, d2_max):
@@ -218,7 +220,7 @@ def _segment_ends(cols, d2_max):
     return np.minimum((cols + 1) * _SEGMENT + 2, d2_max) / 2.0
 
 
-def _certified_segments(kappa, a, d2_max, limit, config, head=None):
+def _certified_segments(kappa, a, d2_max, limit, head=None):
     """Count of each row a's leading segments certified above limit.
 
     A segment bound bounds its row up to the segment's end, so any segment
@@ -229,14 +231,14 @@ def _certified_segments(kappa, a, d2_max, limit, config, head=None):
     """
     n_seg = -(-(d2_max - 2) // _SEGMENT)
     if head is None:
-        head = _segment_bound(kappa, a, _segment_ends(0, d2_max), config)
+        head = _segment_bound(kappa, a, _segment_ends(0, d2_max))
     above = head > limit
     # segment lo's bound is above limit (or lo = -1), hi's not (or hi = n_seg)
     lo = np.where(above, 0, -1)
     hi = np.where(above, n_seg, 0)
     while (rows := np.flatnonzero(hi - lo > 1)).size:
         mid = (lo[rows] + hi[rows]) // 2
-        above = _segment_bound(kappa, a[rows], _segment_ends(mid, d2_max), config) > limit
+        above = _segment_bound(kappa, a[rows], _segment_ends(mid, d2_max)) > limit
         lo[rows] = np.where(above, mid, lo[rows])
         hi[rows] = np.where(above, hi[rows], mid)
     return lo + 1
@@ -258,17 +260,17 @@ def _block_corners(a, b, rows, cols):
     return a_lo, np.minimum(a_lo + half_side, a[-1]), b_lo, np.minimum(b_lo + half_side, b[-1])
 
 
-def _bound_blocks(kappa, a, b, live, limit, config):
+def _bound_blocks(kappa, a, b, live, limit):
     """Clear live's entries in every 16 x 16 block whose block bound exceeds
     limit, in one call over the blocks that hold a live entry."""
     held = _held_blocks(live)
     rows, cols = np.nonzero(held)
-    held[rows, cols] = _block_bound(kappa, *_block_corners(a, b, rows, cols), config) <= limit
+    held[rows, cols] = _block_bound(kappa, *_block_corners(a, b, rows, cols)) <= limit
     block_rows = live.reshape(-1, _BLOCK, live.shape[1])
     block_rows &= held.repeat(_BLOCK // _RUN, axis=1)[:, None, :]
 
 
-def _bound_strips(kappa, a, b, live, limit, config):
+def _bound_strips(kappa, a, b, live, limit):
     """Clear live's entries that strips of the 16 x 16 blocks certify above
     limit, in one call over the strips that hold a live entry.
 
@@ -296,7 +298,7 @@ def _bound_strips(kappa, a, b, live, limit, config):
     strips = [np.where(by_row, *ends) for ends in [(a_i, a_lo), (a_i, a_hi), (b_lo, b_i), (b_hi, b_i)]]
     holds = np.where(by_row, sub.any(axis=0), sub.any(axis=1).repeat(_RUN, axis=0))
     above = ~holds
-    above[holds] = _block_bound(kappa, *(side[holds] for side in strips), config) > limit
+    above[holds] = _block_bound(kappa, *(side[holds] for side in strips)) > limit
     by_col = above.reshape(per_block, _RUN, -1).all(axis=1)[:, None, :]
     blocks[:, :, rows, cols] = sub & ~np.where(by_row, above, by_col)
 
@@ -318,7 +320,7 @@ def _increment(kappa, a, b, ln_lanczos):
     return dq * _grid_beta_density(_threshold(kappa, a, b), a, b, ln_lanczos)
 
 
-def _certify_increment(kappa, a, b, live, d2_max, limit, head, config):
+def _certify_increment(kappa, a, b, live, d2_max, limit, head):
     """Clear the entries of live, a rows x 4-column mask over rows a, whose
     cells all lie above limit by the increment bound, for kappa > 1.
 
@@ -365,14 +367,14 @@ def _certify_increment(kappa, a, b, live, d2_max, limit, head, config):
         # entries run row-major, so each (row, segment) pair's are adjacent
         new_pair = np.diff(rows * live.shape[1] + cols // per_seg, prepend=-1) != 0
         first = np.flatnonzero(new_pair)
-        p1 = _segment_bound(kappa, a[lo + rows[first]], _segment_ends(cols[first] // per_seg, d2_max), config)
+        p1 = _segment_bound(kappa, a[lo + rows[first]], _segment_ends(cols[first] // per_seg, d2_max))
         dead = p1[np.cumsum(new_pair) - 1] + gain > limit
         stripe[rows[dead], cols[dead]] = False
         if not dead.any():
             return
 
 
-def _live_blocks(kappa, grid, limit, config):
+def _live_blocks(kappa, grid, limit):
     """Grid rows x 4-column entries: True where the row's cells in the entry
     lie past its certified segments, the bounds of the 16 x 16 block and of
     the strip or strips holding them are at most limit, and, for kappa > 1,
@@ -388,8 +390,8 @@ def _live_blocks(kappa, grid, limit, config):
     n_entries = -(-b.size // _RUN)
     if limit >= 1.0:
         return np.ones((a.size, n_entries), dtype=bool)
-    head = _segment_bound(kappa, a, _segment_ends(0, grid.d2_max), config)
-    segments = _certified_segments(kappa, a, grid.d2_max, limit, config, head)
+    head = _segment_bound(kappa, a, _segment_ends(0, grid.d2_max))
+    segments = _certified_segments(kappa, a, grid.d2_max, limit, head)
     per_seg = _SEGMENT // _RUN
     # padded to whole blocks and whole segments; pad entries stay dead
     n_cols = -(-b.size // _SEGMENT) * per_seg
@@ -397,40 +399,39 @@ def _live_blocks(kappa, grid, limit, config):
     first[: a.size] = segments * per_seg
     live = np.arange(n_cols) >= first[:, None]
     live[:, n_entries:] = False
-    _bound_blocks(kappa, a, b, live, limit, config)
+    _bound_blocks(kappa, a, b, live, limit)
     if kappa > 1.0:
-        _certify_increment(kappa, a, b, live, grid.d2_max, limit, head, config)
-    _bound_strips(kappa, a, b, live, limit, config)
+        _certify_increment(kappa, a, b, live, grid.d2_max, limit, head)
+    _bound_strips(kappa, a, b, live, limit)
     return live[: a.size, :n_entries]
 
 
 def _scan_stripe(args):
     """(value, d1, d2) of the smallest live cell of one stripe.
 
-    args is (d1_lo, live_rows, d2_max, kappa, config), where live_rows is the
+    args is (d1_lo, live_rows, d2_max, kappa), where live_rows is the
     stripe's slice of _live_blocks's rows x 4-column mask and d1_lo its first
     row. Cells are gathered in row-major order, so the first-occurrence
     argmin gives the smallest d1, then smallest d2, among exact ties.
     """
-    d1_lo, live, d2_max, kappa, config = args
+    d1_lo, live, d2_max, kappa = args
     a = np.arange(d1_lo, d1_lo + live.shape[0], dtype=np.int64) / 2.0
     b = np.arange(3, d2_max + 1, dtype=np.int64) / 2.0
     live = live.repeat(_RUN, axis=1)[:, : b.size]
     a_cells, b_cells = np.broadcast_arrays(a[:, None], b[None, :])
-    return _min_cell(kappa, a_cells[live], b_cells[live], config)
+    return _min_cell(kappa, a_cells[live], b_cells[live])
 
 
-def _seed(kappa, grid, config):
+def _seed(kappa, grid):
     """(value, d1, d2) of the smallest cell on row d1 = 1 and column d2 = d2_max."""
     d1s = np.arange(1, grid.d1_max + 1, dtype=np.int64)
     d2s = np.arange(3, grid.d2_max + 1, dtype=np.int64)
     a = np.concatenate([np.ones_like(d2s), d1s]) / 2.0
     b = np.concatenate([d2s, np.full_like(d1s, grid.d2_max)]) / 2.0
-    return _min_cell(kappa, a, b, config)
+    return _min_cell(kappa, a, b)
 
 
-def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, config: EvalConfig = DEFAULT_CONFIG,
-                 workers: Optional[int] = None) -> ProbeResult:
+def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, workers: Optional[int] = None) -> ProbeResult:
     """Exhaustive minimum of P(X <= kappa E[X]) over the capped integer grid.
 
     The smallest cell of row d1 = 1 and column d2 = d2_max seeds an
@@ -444,29 +445,34 @@ def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, config: EvalConfig = DEFA
     kappa = 1 that rests on the paper's b-monotonicity theorem, which the
     segment and increment bounds use.
 
-    The live cells are evaluated in 128-row stripes, in a process pool when
-    workers > 1 and two or more stripes have live cells. Ties go to the
-    smallest d1, then the smallest d2, and the reduction runs in fixed
-    stripe order, so the result (and every intermediate value) is
-    independent of the worker count. kappa * d1_max/2 must be finite. A
+    The live cells are evaluated in 128-row stripes, in a pool of at most
+    workers processes, one per stripe, when workers > 1 and two or more
+    stripes have live cells. Ties go to the smallest d1, then the smallest
+    d2, and the reduction runs in fixed stripe order, so the result (and
+    every intermediate value) is independent of the worker count. kappa * d1_max/2 must be finite. A
     ConvergenceError in the seed, the pass or a stripe, a pool worker's
     too, is re-raised here naming kappa and the cell, with its iterations
     and args_at_failure unchanged.
     """
     k = _check_kappa(kappa, grid.d1_max / 2.0)
     with _naming_cell(k):
-        seed = _seed(k, grid, config)
-        live = _live_blocks(k, grid, seed[0] + _PRUNE_MARGIN, config)
+        seed = _seed(k, grid)
+        live = _live_blocks(k, grid, seed[0] + _PRUNE_MARGIN)
         # the seed has evaluated row d1 = 1, and its first-occurrence argmin
         # is the lexicographic minimum of those cells
         live[0] = False
         jobs = [
-            (lo + 1, rows, grid.d2_max, k, config)
+            (lo + 1, rows, grid.d2_max, k)
             for lo in range(0, grid.d1_max, _STRIPE_ROWS)
             if (rows := live[lo : lo + _STRIPE_ROWS]).any()
         ]
         if workers is not None and workers > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # imported only here: the pool's modules add ~20 ms to every
+            # fconc import. A forking pool starts all max_workers processes
+            # at its first submit, so it gets no more than there are jobs.
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
                 partials = list(pool.map(_scan_stripe, jobs))
         else:
             partials = [_scan_stripe(j) for j in jobs]
@@ -477,7 +483,7 @@ def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, config: EvalConfig = DEFA
     return ProbeResult(kappa=k, grid_min=best_val, argmin_d1=best_d1, argmin_d2=best_d2, grid=grid)
 
 
-def limit_b(a, kappa, config: EvalConfig = DEFAULT_CONFIG):
+def limit_b(a, kappa):
     """The b -> infinity limit of I_{q(a,b,kappa)}(a, b): P(a, kappa*a).
 
     A kappa * a that overflows is a ValueError naming kappa and that a.
@@ -485,10 +491,10 @@ def limit_b(a, kappa, config: EvalConfig = DEFAULT_CONFIG):
     arr = np.asarray(a, dtype=np.float64)
     if (arr <= 0.0).any():
         raise ValueError("limit_b requires a > 0")
-    return reg_lower_gamma(arr, _check_kappa(kappa, arr) * arr, config)
+    return reg_lower_gamma(arr, _check_kappa(kappa, arr) * arr)
 
 
-def limit_curve_min(kappa, a_grid, config: EvalConfig = DEFAULT_CONFIG):
+def limit_curve_min(kappa, a_grid):
     """Minimum of the limit curve over an ascending a-grid.
 
     Returns (min value, argmin a); ties resolve to the smallest a.
@@ -498,7 +504,7 @@ def limit_curve_min(kappa, a_grid, config: EvalConfig = DEFAULT_CONFIG):
         raise ValueError("a_grid must be nonempty")
     if (np.diff(grid) <= 0.0).any():
         raise ValueError("a_grid must be strictly ascending")
-    vals = limit_b(grid, kappa, config)
+    vals = limit_b(grid, kappa)
     i = int(np.argmin(vals))  # first occurrence: smallest a on ties
     return float(vals[i]), float(grid[i])
 
@@ -519,8 +525,7 @@ def default_a_grid(a_max=1e4) -> np.ndarray:
     return np.concatenate([head, np.geomspace(1000.0, a_max, 61)[1:]])
 
 
-def infimum(kappa, grid: GridSpec = DEFAULT_GRID, a_grid=None,
-            config: EvalConfig = DEFAULT_CONFIG, workers: Optional[int] = None) -> ProbeResult:
+def infimum(kappa, grid: GridSpec = DEFAULT_GRID, a_grid=None, workers: Optional[int] = None) -> ProbeResult:
     """Full probe at one kappa: grid scan + limit curve + closed-form verdict.
 
     For kappa < 1 the exact infimum is 0 and for kappa == 1 it is 1/2
@@ -537,8 +542,8 @@ def infimum(kappa, grid: GridSpec = DEFAULT_GRID, a_grid=None,
     if a_grid is None:
         a_grid = default_a_grid()
     k = _check_kappa(kappa, np.append(grid.d1_max / 2.0, a_grid))
-    gres = grid_infimum(k, grid, config, workers)
-    lmin, larg = limit_curve_min(k, a_grid, config)
+    gres = grid_infimum(k, grid, workers)
+    lmin, larg = limit_curve_min(k, a_grid)
 
     if k < 1.0:
         exact, flags = 0.0, (FLAG_EXACT_INF_NOT_ATTAINED,)
@@ -551,7 +556,7 @@ def infimum(kappa, grid: GridSpec = DEFAULT_GRID, a_grid=None,
 
 
 def conjecture_probe(kappa, grid: GridSpec = DEFAULT_GRID, a_grid=None,
-                     config: EvalConfig = DEFAULT_CONFIG, workers: Optional[int] = None) -> ConjectureReport:
+                     workers: Optional[int] = None) -> ConjectureReport:
     """Check every grid cell and limit-curve point against the 1/2 bound.
 
     Requires kappa > 1. Reports the positive margin min(combined) - 1/2.
@@ -562,7 +567,7 @@ def conjecture_probe(kappa, grid: GridSpec = DEFAULT_GRID, a_grid=None,
     k = _check_kappa(kappa)
     if k <= 1.0:
         raise ValueError(f"conjecture probe requires kappa > 1, got {kappa}")
-    res = infimum(k, grid, a_grid, config, workers)
+    res = infimum(k, grid, a_grid, workers)
     counterexample = None
     if res.grid_min <= 0.5:
         counterexample = ("grid", res.argmin_d1, res.argmin_d2, res.grid_min)

@@ -16,9 +16,11 @@ Accuracy targets (double precision):
                         limit-curve grid); the error peaks near x = a, where
                         the log prefactor cancels, and grows with a
 
-All evaluation is pure: results depend only on the arguments and the
-(immutable) EvalConfig, so every function is safe to call from multiple
-threads.
+All evaluation is pure: results depend only on the arguments, so every
+function is safe to call from multiple threads. The continued fractions and
+series stop at a fixed relative tolerance, _CF_TOLERANCE, or raise
+ConvergenceError (exit 3 from the CLI) after a fixed _CF_MAX_ITER
+iterations.
 
 ``reg_inc_beta`` and ``ln_beta`` evaluate in chunks of ``_CHUNK`` elements,
 so a call over a whole grid stripe keeps its temporaries (the continued
@@ -31,14 +33,11 @@ element of the call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 __all__ = [
-    "EvalConfig",
-    "DEFAULT_CONFIG",
     "ConvergenceError",
     "ln_gamma",
     "ln_beta",
@@ -52,6 +51,9 @@ __all__ = [
 # fixed relative tolerance of every continued fraction and series below.
 REG_INC_BETA_ABS_ERR = 1e-12
 _CF_TOLERANCE = 1e-15
+# Iteration cap of every continued fraction and series; reaching it raises
+# ConvergenceError, so it can only turn a result into a failure.
+_CF_MAX_ITER = 2000
 
 # Documented relative error of _grid_beta_density, and of the grid scan's
 # increment term built on it, for a, b up to ~1000 at the grid's
@@ -107,50 +109,6 @@ class ConvergenceError(ArithmeticError):
         # the default reduction replays only the message, so a worker's
         # failure would not unpickle in the parent process
         return type(self), (self.args[0], self.iterations, self.args_at_failure)
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Iteration caps and the oracle's tolerance.
-
-    cf_max_iter     iteration cap for continued fractions and series
-    quad_tolerance  convergence tolerance of the tanh-sinh quadrature
-                    oracle, relative to each integral: an integral stops
-                    refining once its log moves by at most
-                    quad_tolerance / 4 (floored at 4e-15) between two
-                    levels. At the default the oracle's I_x is within 1e-12
-                    absolute of a 40-digit value for a, b in [0.5, 2000]
-                    (checked against mpmath on the suite's sample)
-    quad_max_level  refinement cap (mesh halvings) for the quadrature
-
-    The caps are integers and can only turn a result into a convergence
-    failure (exit 3 from the CLI); quad_tolerance only moves where
-    ``fconc verify``'s oracle stops refining. No field moves a continued
-    fraction's value, so REG_INC_BETA_ABS_ERR holds at every config.
-    """
-
-    cf_max_iter: int = 2000
-    quad_tolerance: float = 1e-10
-    quad_max_level: int = 12
-
-    def __post_init__(self):
-        _check_caps(self, cf_max_iter=100, quad_max_level=5)
-        if not (0.0 < self.quad_tolerance < 1e-6):
-            raise ValueError(f"quad_tolerance must be in (0, 1e-6), got {self.quad_tolerance}")
-
-
-def _check_caps(obj, **least):
-    """ValueError unless each named cap of obj is an integer (numpy's too) at
-    least its given value; a float cap would fail later, far from its cause."""
-    for name, low in least.items():
-        value = getattr(obj, name)
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
-
-
-DEFAULT_CONFIG = EvalConfig()
 
 
 def _prepare(*values):
@@ -273,7 +231,7 @@ def beta(a, b):
     return float(out) if np.ndim(lb) == 0 else out
 
 
-def _converge(step, state, config, what, report):
+def _converge(step, state, what, report):
     """Iterate ``step(state, m, tol)`` for m = 1, 2, ... over an active set.
 
     ``state`` is a namespace of equal-length 1-D arrays; ``state.h`` holds the
@@ -299,7 +257,7 @@ def _converge(step, state, config, what, report):
     # compacted three arrays at a time: one at a time measured ~45% more page
     # faults and 5-10% more time on 128-row stripes at kappa = 1.00005
     groups = [list(arrays)[i:i + 3] for i in range(0, len(arrays), 3)]
-    for m in range(1, config.cf_max_iter + 1):
+    for m in range(1, _CF_MAX_ITER + 1):
         done = step(state, m, _CF_TOLERANCE)
         new = done & live
         if new.any():
@@ -317,9 +275,9 @@ def _converge(step, state, config, what, report):
     args = tuple(float(v[idx[live][0]]) for v in report.values())
     offender = ", ".join(f"{name}={v!r}" for name, v in zip(report, args))
     raise ConvergenceError(
-        f"{what}: not converged after {config.cf_max_iter} iterations; "
+        f"{what}: not converged after {_CF_MAX_ITER} iterations; "
         f"first offender {offender}",
-        config.cf_max_iter,
+        _CF_MAX_ITER,
         args_at_failure=args,
     )
 
@@ -364,17 +322,17 @@ def _beta_cf_step(s, m, tol):
     return np.abs(delta, out=delta) < tol
 
 
-def _beta_cf(x, a, b, config, report):
+def _beta_cf(x, a, b, report):
     """Continued fraction for the incomplete beta (modified Lentz)."""
     s = SimpleNamespace(x=x, a=a, b=b, qab=a + b, qap=a + 1.0, qam=a - 1.0, c=np.ones(x.size))
     s.d = 1.0 - s.qab * x / s.qap
     s.d = np.where(np.abs(s.d) < _TINY, _TINY, s.d)
     s.d = 1.0 / s.d
     s.h = s.d.copy()
-    return _converge(_beta_cf_step, s, config, "incomplete beta continued fraction", report)
+    return _converge(_beta_cf_step, s, "incomplete beta continued fraction", report)
 
 
-def reg_inc_beta(x, a, b, config=DEFAULT_CONFIG):
+def reg_inc_beta(x, a, b):
     """Regularized incomplete beta function I_x(a, b) for 0 <= x <= 1.
 
     Modified-Lentz continued fraction; when x lies past (a+1)/(a+b+2) the
@@ -383,7 +341,7 @@ def reg_inc_beta(x, a, b, config=DEFAULT_CONFIG):
     tiny thresholds (q ~ 1e-3 with large b) from underflowing.
 
     Raises ConvergenceError (with the iteration count) instead of silently
-    returning when the fraction fails to settle within config.cf_max_iter;
+    returning when the fraction fails to settle within _CF_MAX_ITER iterations;
     its ``args_at_failure`` is the caller's own (x, a, b) at the lowest-index
     element that did not converge, on either branch.
     """
@@ -408,7 +366,7 @@ def reg_inc_beta(x, a, b, config=DEFAULT_CONFIG):
         xx = np.where(use_sym, 1.0 - xi, xi)
         fa = np.where(use_sym, bi, ai)
         fb = np.where(use_sym, ai, bi)
-        front = np.exp(ln_pre) * _beta_cf(xx, fa, fb, config, {"x": xi, "a": ai, "b": bi}) / fa
+        front = np.exp(ln_pre) * _beta_cf(xx, fa, fb, {"x": xi, "a": ai, "b": bi}) / fa
         vals = np.where(use_sym, 1.0 - front, front)
         out[i] = np.clip(vals, 0.0, 1.0)
 
@@ -463,11 +421,11 @@ def _gamma_series_step(s, m, tol):
     return np.abs(s.delt) < np.abs(s.h) * tol
 
 
-def _gamma_series(a, x, config):
+def _gamma_series(a, x):
     """P(a, x) by the lower-gamma power series, for x < a + 1."""
     s = SimpleNamespace(x=x, ap=a.copy(), h=1.0 / a)
     s.delt = s.h.copy()
-    total = _converge(_gamma_series_step, s, config, "lower incomplete gamma series", {"a": a, "x": x})
+    total = _converge(_gamma_series_step, s, "lower incomplete gamma series", {"a": a, "x": x})
     return total * _gamma_prefactor(a, x)
 
 
@@ -479,16 +437,16 @@ def _gamma_cf_step(s, m, tol):
     return np.abs(delta - 1.0) < tol
 
 
-def _gamma_cf(a, x, config):
+def _gamma_cf(a, x):
     """Q(a, x) by the upper-gamma continued fraction (modified Lentz), x >= a + 1."""
     s = SimpleNamespace(a=a, b0=x + 1.0 - a, c=np.full(x.size, 1.0 / _TINY))
     s.d = 1.0 / s.b0
     s.h = s.d.copy()
-    h = _converge(_gamma_cf_step, s, config, "upper incomplete gamma continued fraction", {"a": a, "x": x})
+    h = _converge(_gamma_cf_step, s, "upper incomplete gamma continued fraction", {"a": a, "x": x})
     return h * _gamma_prefactor(a, x)
 
 
-def reg_lower_gamma(a, x, config=DEFAULT_CONFIG):
+def reg_lower_gamma(a, x):
     """Regularized lower incomplete gamma P(a, x), a > 0, x >= 0.
 
     Series expansion for x < a+1, continued fraction for the complement
@@ -508,9 +466,9 @@ def reg_lower_gamma(a, x, config=DEFAULT_CONFIG):
 
     small = (~zero) & (xx < aa + 1.0)
     if small.any():
-        out[small] = _gamma_series(aa[small], xx[small], config)
+        out[small] = _gamma_series(aa[small], xx[small])
     large = (~zero) & ~small
     if large.any():
-        out[large] = 1.0 - _gamma_cf(aa[large], xx[large], config)
+        out[large] = 1.0 - _gamma_cf(aa[large], xx[large])
 
     return _finish(np.clip(out, 0.0, 1.0), shape, scalar)

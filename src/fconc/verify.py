@@ -32,7 +32,7 @@ import numpy as np
 
 from .fdist import FParams, _check_kappa, _probe
 from .probe import limit_b
-from .special import DEFAULT_CONFIG, ConvergenceError, EvalConfig, _finish, _prepare, ln_beta, reg_inc_beta
+from .special import ConvergenceError, _finish, _prepare, ln_beta, reg_inc_beta
 
 __all__ = [
     "QuadratureError",
@@ -54,6 +54,15 @@ DEFAULT_SEED = 1729
 _Z_MAX = 340.0
 _KH_MAX = math.asinh(2.0 * _Z_MAX / math.pi)
 _X_TINY = 1e-280  # see quad_inc_beta
+# The oracle's domain bound on a and b; see quad_inc_beta.
+_SHAPE_MAX = 1e5
+# Refinement cap (mesh halvings). Reaching it raises QuadratureError, so it
+# can only turn a result into a convergence failure.
+_MAX_LEVEL = 12
+# An integral stops refining once its log moves by at most this between two
+# levels. The oracle's I_x is then within 1e-12 absolute of a 40-digit value
+# for a, b in [0.5, 2000] (checked against mpmath on the suite's sample).
+_LOG_TOLERANCE = 2.5e-11
 # Elements per chunk of the oracle, whose partial and complete integrals are
 # one kernel call each. Fewer rows pay numpy's per-call overhead more often;
 # more rows, or a whole sample at once, raise peak memory.
@@ -61,7 +70,7 @@ _ROWS = 64
 
 
 class QuadratureError(ConvergenceError):
-    """Tanh-sinh refinement hit quad_max_level without meeting tolerance."""
+    """Tanh-sinh refinement hit its level cap without meeting tolerance."""
 
 
 def _ts_level_nodes(h, level):
@@ -80,7 +89,7 @@ def _ts_level(level):
     the positive-k nodes, then a complete integral's (halfspan 0.5,
     1 - hi = 0.0) weights and log distances from 0 and 1 over all nodes,
     each formed as the per-row path forms it. Levels 0-8, which the suite
-    reaches, take 0.12 MiB; all 13 of the default cap take 1.9 MiB.
+    reaches, take 0.12 MiB; all 13 up to _MAX_LEVEL take 1.9 MiB.
     """
     h = 0.5 ** level
     kh = _ts_level_nodes(h, level) * h
@@ -103,7 +112,7 @@ def _ts_level(level):
     return (h, first) + arrays
 
 
-def _ts_log_integrals(hi, am1, bm1, config):
+def _ts_log_integrals(hi, am1, bm1):
     """log of integral_0^hi t^am1 (1-t)^bm1 dt for each row, by adaptive tanh-sinh.
 
     ``hi=None`` means hi = 1 for every row: the exponent then comes from the
@@ -112,16 +121,15 @@ def _ts_log_integrals(hi, am1, bm1, config):
     endpoint singularities (am1 or bm1 in (-1, 0]) are evaluated accurately.
     Each row's integrand is rescaled by its running maximum log so that sums
     stay in range for sharply peaked (large a, b) cases. A row stops
-    refining at the first level its log value moves by at most the
-    tolerance. Returns the logs and the index of the first row still
-    refining at quad_max_level, or the row count if none is.
+    refining at the first level its log value moves by at most
+    _LOG_TOLERANCE. Returns the logs and the index of the first row still
+    refining at level _MAX_LEVEL, or the row count if none is.
 
     Each row gets the bits a one-row call gives: the per-row columns
     broadcast against the nodes of a level, each node sum runs along the
     contiguous axis, and the per-row exp and log are Python's math (numpy's
     vector loops can round differently).
     """
-    rel_tol = max(config.quad_tolerance / 4.0, 4e-15)
     rows = am1.size
     out = np.empty(rows)
     idx = np.arange(rows)  # rows still refining
@@ -133,7 +141,7 @@ def _ts_log_integrals(hi, am1, bm1, config):
     total = np.zeros(rows)
     prev = np.full(rows, np.nan)  # no earlier level: never within tolerance
 
-    for level in range(config.quad_max_level + 1):
+    for level in range(_MAX_LEVEL + 1):
         h, first, cosh_kh, cosh_z2, frac, onepe2z, ww, log_dlo, log_dhi = _ts_level(level)
         if hi is None:
             am1c, bm1c = cols
@@ -167,7 +175,7 @@ def _ts_log_integrals(hi, am1, bm1, config):
         # a sum that underflows to 0 (hi = 5e-324) logs as -inf, converged once it repeats
         log_val = np.array([math.log(t) if t else -math.inf for t in total.tolist()]) + scale
         with np.errstate(invalid="ignore"):
-            done = (log_val == prev) | (np.abs(log_val - prev) <= rel_tol)
+            done = (log_val == prev) | (np.abs(log_val - prev) <= _LOG_TOLERANCE)
         prev = log_val
         if done.any():
             out[idx[done]] = log_val[done]
@@ -179,7 +187,7 @@ def _ts_log_integrals(hi, am1, bm1, config):
     return out, int(idx[0])
 
 
-def quad_inc_beta(x, a, b, config: EvalConfig = DEFAULT_CONFIG):
+def quad_inc_beta(x, a, b):
     """Oracle for I_x(a, b): the ratio of two tanh-sinh integrals.
 
     Both the partial and the complete beta integral are evaluated by
@@ -194,6 +202,11 @@ def quad_inc_beta(x, a, b, config: EvalConfig = DEFAULT_CONFIG):
     Where x (1 + |b - 1|) < _X_TINY, the weights and node distances of
     [0, x] underflow, but (1 - t)^(b-1) is 1 there within a relative
     1e-280: the partial integral is x^a times that of u^(a-1) over [0, 1].
+
+    The domain is a >= 0.5, 0 < b <= 1e5 and a <= 1e5 (_SHAPE_MAX); past
+    it a sharply peaked integrand fails to converge (from about 3e5) or
+    drifts (at (1, 1e8), 1e-9 from reg_inc_beta). The 1e-12 accuracy above
+    is checked against mpmath for a, b in [0.5, 2000].
     """
     (x, a, b), shape, scalar = _prepare(x, a, b)
     if not ((0.0 <= x) & (x <= 1.0)).all():
@@ -204,6 +217,8 @@ def quad_inc_beta(x, a, b, config: EvalConfig = DEFAULT_CONFIG):
         raise ValueError("quad_inc_beta requires a and b to be finite")
     if ((a < 0.5) | (b <= 0.0)).any():
         raise ValueError("quad_inc_beta requires a >= 0.5 and b > 0")
+    if ((a > _SHAPE_MAX) | (b > _SHAPE_MAX)).any():
+        raise ValueError(f"quad_inc_beta requires a and b at most {_SHAPE_MAX:g}")
     out = np.where(x == 1.0, 1.0, 0.0)
     inner = np.flatnonzero((x > 0.0) & (x < 1.0))
     hi, am1, bm1 = x[inner], a[inner] - 1.0, b[inner] - 1.0
@@ -212,16 +227,16 @@ def quad_inc_beta(x, a, b, config: EvalConfig = DEFAULT_CONFIG):
     num, den = np.empty(inner.size), np.empty(inner.size)
     for lo in range(0, inner.size, _ROWS):
         rows = slice(lo, lo + _ROWS)
-        num[rows], p = _ts_log_integrals(part_hi[rows], am1[rows], part_bm1[rows], config)
-        den[rows], c = _ts_log_integrals(None, am1[rows], bm1[rows], config)
+        num[rows], p = _ts_log_integrals(part_hi[rows], am1[rows], part_bm1[rows])
+        den[rows], c = _ts_log_integrals(None, am1[rows], bm1[rows])
         if min(p, c) < num[rows].size:
             # a scalar loop meets an element's partial integral before its complete one
             i = lo + min(p, c)
             args = (float(hi[i]) if p <= c else 1.0, float(am1[i]) + 1.0, float(bm1[i]) + 1.0)
             raise QuadratureError(
-                f"tanh-sinh refinement cap {config.quad_max_level} reached "
+                f"tanh-sinh refinement cap {_MAX_LEVEL} reached "
                 f"(hi={args[0]!r}, a={args[1]!r}, b={args[2]!r})",
-                config.quad_max_level,
+                _MAX_LEVEL,
                 args_at_failure=args,
             )
     num[tiny] += [ai * math.log(xi) for ai, xi in zip(a[inner][tiny].tolist(), hi[tiny].tolist())]
@@ -285,7 +300,7 @@ def _nonempty(name, values):
     return arr
 
 
-def check_recurrence(sample, tol: float = 1e-10, config: EvalConfig = DEFAULT_CONFIG) -> CheckResult:
+def check_recurrence(sample, tol: float = 1e-10) -> CheckResult:
     """Residual of I_x(a, b+1) - I_x(a, b) - x^a (1-x)^b / (b B(a, b)).
 
     The correction term is formed in the log domain; x = 0 contributes a
@@ -295,7 +310,7 @@ def check_recurrence(sample, tol: float = 1e-10, config: EvalConfig = DEFAULT_CO
     x, a, b = _sample_columns(sample)
     if (x < 0.0).any() or (x >= 1.0).any() or (a <= 0.0).any() or (b <= 0.0).any():
         raise ValueError("recurrence check requires 0 <= x < 1, a > 0, b > 0")
-    both = reg_inc_beta(np.tile(x, 2), np.tile(a, 2), np.concatenate([b, b + 1.0]), config)
+    both = reg_inc_beta(np.tile(x, 2), np.tile(a, 2), np.concatenate([b, b + 1.0]))
     i_b, i_b1 = both[:x.size], both[x.size:]
     with np.errstate(divide="ignore"):
         corr = np.exp(a * np.log(x) + b * np.log1p(-x) - np.log(b) - ln_beta(a, b))
@@ -311,8 +326,7 @@ def check_recurrence(sample, tol: float = 1e-10, config: EvalConfig = DEFAULT_CO
     )
 
 
-def check_monotone_b(kappa, d1_list: Sequence[int], d2_range, tol_strict: float = 1e-14,
-                     config: EvalConfig = DEFAULT_CONFIG) -> CheckResult:
+def check_monotone_b(kappa, d1_list: Sequence[int], d2_range, tol_strict: float = 1e-14) -> CheckResult:
     """Strict decrease of the probe along consecutive d2 for fixed d1.
 
     Proven for kappa <= 1; for kappa > 1 the same numbers are collected but
@@ -332,7 +346,7 @@ def check_monotone_b(kappa, d1_list: Sequence[int], d2_range, tol_strict: float 
     if d2s.size < 2 or (np.diff(d2s) != 1).any() or d2s[0] < 3:
         raise ValueError("d2_range must be consecutive integers starting at >= 3")
     observational = kappa > 1.0
-    diffs = np.diff(_probe(kappa, d1s[:, None] / 2.0, d2s / 2.0, config), axis=1)
+    diffs = np.diff(_probe(kappa, d1s[:, None] / 2.0, d2s / 2.0), axis=1)
     worst = float(diffs.max())
     bad = np.flatnonzero(diffs.max(axis=1) >= -tol_strict)
     if observational:
@@ -352,8 +366,7 @@ def check_monotone_b(kappa, d1_list: Sequence[int], d2_range, tol_strict: float 
     )
 
 
-def check_limit(a_list, kappa_list, b_ladder, final_tol: float = 1e-3,
-                config: EvalConfig = DEFAULT_CONFIG) -> CheckResult:
+def check_limit(a_list, kappa_list, b_ladder, final_tol: float = 1e-3) -> CheckResult:
     """Convergence of the probe to the lower-gamma limit along a b ladder.
 
     For each (a, kappa) the residual |I_{q(a,b,kappa)}(a,b) - P(a, kappa a)|
@@ -366,8 +379,8 @@ def check_limit(a_list, kappa_list, b_ladder, final_tol: float = 1e-3,
     ladder = np.asarray(list(b_ladder), dtype=np.float64)
     if ladder.size < 2 or (np.diff(ladder) <= 0.0).any():
         raise ValueError("b ladder must be increasing with at least two rungs")
-    lim = np.stack([limit_b(a, k, config) for k in kappas], axis=1)
-    vals = _probe(np.asarray(kappas)[:, None], a[:, None, None], ladder, config)
+    lim = np.stack([limit_b(a, k) for k in kappas], axis=1)
+    vals = _probe(np.asarray(kappas)[:, None], a[:, None, None], ladder)
     resid = np.abs(vals - lim[:, :, None])
     grows = np.diff(resid, axis=2) >= 0.0
     worst_final = float(resid[:, :, -1].max())
@@ -389,7 +402,7 @@ def check_limit(a_list, kappa_list, b_ladder, final_tol: float = 1e-3,
     )
 
 
-def check_kappa_monotone(p_sample, kappa_ladder, config: EvalConfig = DEFAULT_CONFIG) -> CheckResult:
+def check_kappa_monotone(p_sample, kappa_ladder) -> CheckResult:
     """Strict increase of the probe along an ascending kappa ladder.
 
     Residual is the smallest observed increment (negated), so any value
@@ -410,7 +423,7 @@ def check_kappa_monotone(p_sample, kappa_ladder, config: EvalConfig = DEFAULT_CO
             name="monotone-in-kappa", samples=0, max_residual=0.0, passed=True,
             detail="singleton ladder: vacuous pass",
         )
-    incs = np.diff(_probe(np.asarray(ladder), shapes[:, :1], shapes[:, 1:], config), axis=1)
+    incs = np.diff(_probe(np.asarray(ladder), shapes[:, :1], shapes[:, 1:]), axis=1)
     min_inc = float(incs.min())
     bad = np.argwhere(incs <= 0.0)
     if bad.size == 0:
@@ -429,12 +442,12 @@ def check_kappa_monotone(p_sample, kappa_ladder, config: EvalConfig = DEFAULT_CO
     )
 
 
-def check_oracle_agreement(sample, tol: float = 1e-9, config: EvalConfig = DEFAULT_CONFIG) -> CheckResult:
+def check_oracle_agreement(sample, tol: float = 1e-9) -> CheckResult:
     """|continued fraction - tanh-sinh quadrature| on (x, a, b) triples."""
     x, a, b = _sample_columns(sample)
-    cf_vals = reg_inc_beta(x, a, b, config)
+    cf_vals = reg_inc_beta(x, a, b)
     # np.max keeps a NaN residual, which CheckResult then rejects
-    worst = float(np.max(np.abs(quad_inc_beta(x, a, b, config) - cf_vals)))
+    worst = float(np.max(np.abs(quad_inc_beta(x, a, b) - cf_vals)))
     return CheckResult(
         name="oracle-agreement",
         samples=int(x.size),
@@ -452,13 +465,12 @@ def _triple_sample(rng, n, hi):
     return np.column_stack([x, a, b])
 
 
-def run_suite(profile: str = "quick", seed: int = DEFAULT_SEED,
-              config: EvalConfig = DEFAULT_CONFIG) -> VerificationReport:
+def run_suite(profile: str = "quick", seed: int = DEFAULT_SEED) -> VerificationReport:
     """Run every check at the given profile ('quick' or 'full').
 
     quick samples ~100 points per randomized check, full ~1000. All
     sampling is driven by the seed recorded in the report, so reports are
-    reproducible bit-for-bit for a fixed EvalConfig.
+    reproducible bit-for-bit.
     """
     if profile not in ("quick", "full"):
         raise ValueError(f"profile must be 'quick' or 'full', got {profile!r}")
@@ -469,20 +481,16 @@ def run_suite(profile: str = "quick", seed: int = DEFAULT_SEED,
     n_pairs = 10 if quick else 50
 
     rng = np.random.default_rng(seed)
-    checks = [check_recurrence(_triple_sample(rng, n_rec, 500.0), config=config)]
+    checks = [check_recurrence(_triple_sample(rng, n_rec, 500.0))]
     for kappa in (0.25, 0.5, 0.9, 1.0):
-        checks.append(
-            check_monotone_b(kappa, (1, 2, 3, 10, 100), range(3, d2_hi + 1), config=config)
-        )
-    checks.append(
-        check_limit((0.5, 1.0, 5.0), (0.5, 1.0), [2.0 ** j for j in range(1, 14)], config=config)
-    )
+        checks.append(check_monotone_b(kappa, (1, 2, 3, 10, 100), range(3, d2_hi + 1)))
+    checks.append(check_limit((0.5, 1.0, 5.0), (0.5, 1.0), [2.0 ** j for j in range(1, 14)]))
     # keep d1 and kappa moderate: once the probe saturates to 1.0 in double
     # precision, strict increase carries no information
     d1s = rng.integers(1, 13, n_pairs)
     d2s = rng.integers(3, 301, n_pairs)
     pairs = [(int(d1), int(d2)) for d1, d2 in zip(d1s, d2s)] + [(1, 3), (2, 1999), (1, 4)]
-    checks.append(check_kappa_monotone(pairs, (0.5, 1.0, 1.5, 2.0, 4.0), config=config))
-    checks.append(check_oracle_agreement(_triple_sample(rng, n_oracle, 2000.0), config=config))
+    checks.append(check_kappa_monotone(pairs, (0.5, 1.0, 1.5, 2.0, 4.0)))
+    checks.append(check_oracle_agreement(_triple_sample(rng, n_oracle, 2000.0)))
 
     return VerificationReport(checks=tuple(checks), seed=seed, profile=profile)

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fconc.verify
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # kappas of the reference table plus two below 1
@@ -14,6 +16,15 @@ PROBE_KAPPAS = (0.5, 0.9, 1.0, 1.00005, 1.001, 1.005, 1.05, 1.5, 3.0, 3.005, 3.0
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def tight_oracle(monkeypatch):
+    """The tanh-sinh oracle held to a log tolerance of 2.5e-13 within 5
+    refinement levels, which large shapes cannot meet: a forced
+    QuadratureError."""
+    monkeypatch.setattr(fconc.verify, "_LOG_TOLERANCE", 2.5e-13)
+    monkeypatch.setattr(fconc.verify, "_MAX_LEVEL", 5)
 
 
 def seeded_triples(seed, n, lo, hi):

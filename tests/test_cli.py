@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,62 +227,66 @@ class TestVerify:
 
 
 class TestConfigFile:
-    def test_override_applies(self, tmp_path):
-        cfg = tmp_path / "fconc.cfg"
-        cfg.write_text("cf_max_iter=150\n# comment\nquad_tolerance=1e-9\n")
-        p = run_cli("prob", "--d1", "2", "--d2", "4", "--kappa", "1", "--config", str(cfg))
-        assert p.returncode == 0
+    """There is no config file: the iteration caps and the oracle's tolerance
+    are fixed, and only flags set the grid caps and the worker count."""
 
-    def test_unknown_key_usage_error(self, tmp_path):
-        # cf_tolerance was a key until the continued fractions' tolerance was fixed
-        cfg = tmp_path / "bad.cfg"
-        for text in ("mystery=1\n", "cf_tolerance=1e-14\n"):
-            cfg.write_text(text)
-            p = run_cli("prob", "--d1", "2", "--d2", "4", "--config", str(cfg))
-            assert p.returncode == 2
-            assert "unknown config key" in p.stderr
+    @pytest.mark.parametrize(
+        "argv",
+        [["table"], ["inf", "--kappa", "2"], ["prob", "--d1", "2", "--d2", "4"],
+         ["sweep", "--kappa-from", "1", "--kappa-to", "2", "--steps", "2"], ["verify"]],
+        ids=["table", "inf", "prob", "sweep", "verify"],
+    )
+    def test_config_option_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--config", "fconc.cfg"])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
-    def test_flags_beat_config(self, tmp_path):
-        cfg = tmp_path / "caps.cfg"
-        cfg.write_text("d1_max=30\nd2_max=30\n")
-        p = run_cli(
-            "inf", "--kappa", "2", "--config", str(cfg), "--d1-max", "6", "--d2-max", "6",
-            "--a-max", "20", "--format", "json",
-        )
-        assert p.returncode == 0
-        rec = json.loads(p.stdout)[0]
-        assert rec["d1"] <= 6 and rec["d2"] <= 6
+    def test_convergence_failure_exit_code(self, tight_oracle, capsys):
+        assert cli.main(["verify", "--profile", "quick"]) == cli.EXIT_NUMERICAL
+        assert "convergence failure" in capsys.readouterr().err
 
-    def test_convergence_failure_exit_code(self, tmp_path):
-        cfg = tmp_path / "tight.cfg"
-        cfg.write_text("quad_tolerance=1e-12\nquad_max_level=5\n")
-        p = run_cli("verify", "--profile", "quick", "--config", str(cfg))
-        assert p.returncode == 3
-        assert "convergence failure" in p.stderr
-
-    def test_oracle_failure_names_first_failing_integral(self, tmp_path):
+    def test_oracle_failure_names_first_failing_integral(self, tight_oracle, capsys):
         # the per-sample loop failed first on this sample's complete integral;
         # the batched oracle must name the same one, in Python floats
-        cfg = tmp_path / "tight.cfg"
-        cfg.write_text("quad_tolerance=1e-12\nquad_max_level=5\n")
-        p = run_cli("verify", "--profile", "quick", "--config", str(cfg))
-        assert p.returncode == 3
-        assert "(hi=1.0, a=782.0278306273453, b=8.044188364930141)" in p.stderr
-        assert "np.float64(" not in p.stderr
+        assert cli.main(["verify", "--profile", "quick"]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "(hi=1.0, a=782.0278306273453, b=8.044188364930141)" in err
+        assert "np.float64(" not in err
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_nonpositive_workers_usage_error(self, tmp_path, workers):
-        cfg = tmp_path / "workers.cfg"
-        cfg.write_text(f"workers={workers}\n")
-        caps = ("inf", "--kappa", "1.5", "--d1-max", "5", "--d2-max", "5", "--a-max", "5")
-        for extra in (("--workers", workers), ("--config", str(cfg))):
-            p = run_cli(*caps, *extra)
-            assert p.returncode == 2
-            assert "workers must be >= 1" in p.stderr
-
-    def test_missing_config_usage_error(self):
-        p = run_cli("prob", "--d1", "2", "--d2", "4", "--config", "/nonexistent.cfg")
+    def test_nonpositive_workers_usage_error(self, workers):
+        p = run_cli("inf", "--kappa", "1.5", "--d1-max", "5", "--d2-max", "5", "--a-max", "5", "--workers", workers)
         assert p.returncode == 2
+        assert "workers must be >= 1" in p.stderr
+
+
+def test_import_leaves_process_pool_unloaded():
+    # the pool's modules load only when a scan starts a pool, or a worker dies
+    code = (
+        "import sys, fconc.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert p.returncode == 0 and p.stdout == "[]\n"
+
+
+def test_benchmark_commands_parse(monkeypatch):
+    # every command the benchmark runs is a valid command line; the
+    # workloads module is only read, never changed, from here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while it executes
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(workloads)
+    parser = cli.build_parser()
+    for name in workloads.WORKLOADS:
+        ops = workloads.build_ops(name, seed=0)
+        assert ops
+        for op in ops:
+            assert parser.parse_args(list(op.argv)).func in (cli.cmd_inf, cli.cmd_verify)
 
 
 def _main_error(capsys, argv):
@@ -293,16 +299,6 @@ def _main_error(capsys, argv):
 
 
 class TestFileErrors:
-    def test_config_directory(self, tmp_path, capsys):
-        err = _main_error(capsys, ["prob", "--d1", "2", "--d2", "4", "--config", str(tmp_path)])
-        assert str(tmp_path) in err
-
-    def test_config_not_utf8(self, tmp_path, capsys):
-        cfg = tmp_path / "latin.cfg"
-        cfg.write_bytes(b"cf_tolerance=1e-14\n# caf\xff\n")
-        err = _main_error(capsys, ["prob", "--d1", "2", "--d2", "4", "--config", str(cfg)])
-        assert str(cfg) in err and "utf-8" in err
-
     def test_out_directory(self, tmp_path, capsys):
         argv = ["inf", "--kappa", "1.5", "--d1-max", "5", "--d2-max", "5", "--a-max", "5", "--out", str(tmp_path)]
         err = _main_error(capsys, argv)

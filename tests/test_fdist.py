@@ -6,7 +6,6 @@ import pytest
 
 from fconc import FParams, ShapePair, cdf, mean, prob_leq_kappa_mean, probe, threshold, verify
 from fconc.fdist import _check_kappa
-from fconc.special import DEFAULT_CONFIG
 
 
 class TestParams:
@@ -135,7 +134,7 @@ class TestProbe:
     # the value by an ulp or more
     @pytest.mark.parametrize("d1, d2, kappa", [(1727, 235, 1.05), (1799, 161, 1.05), (737, 288, 1.001)])
     def test_equals_grid_kernel_bitwise(self, d1, d2, kappa):
-        cell, _, _ = probe._min_cell(kappa, np.array([d1 / 2.0]), np.array([d2 / 2.0]), DEFAULT_CONFIG)
+        cell, _, _ = probe._min_cell(kappa, np.array([d1 / 2.0]), np.array([d2 / 2.0]))
         assert prob_leq_kappa_mean(FParams(d1, d2), kappa) == cell
 
 

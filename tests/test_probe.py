@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import multiprocessing
 import os
@@ -19,9 +20,9 @@ from fconc import (
     prob_leq_kappa_mean,
     reg_inc_beta,
 )
-from fconc import cli, fdist, probe
+from fconc import cli, fdist, probe, special
 from fconc.probe import FLAG_CONJECTURE_REGIME, FLAG_EXACT_INF_NOT_ATTAINED
-from fconc.special import BETA_DENSITY_REL_ERR, DEFAULT_CONFIG, REG_INC_BETA_ABS_ERR, EvalConfig, _ln_lanczos_halves
+from fconc.special import BETA_DENSITY_REL_ERR, REG_INC_BETA_ABS_ERR, _ln_lanczos_halves
 
 from conftest import PROBE_KAPPAS
 
@@ -114,8 +115,8 @@ class TestGridInfimum:
         for lo in range(0, grid.d1_max, 128):
             rows = slice(lo, min(lo + 128, grid.d1_max))
             expected = first_min(rows)
-            live = probe._live_blocks(kappa, grid, expected[0] + probe._PRUNE_MARGIN, DEFAULT_CONFIG)
-            job = (lo + 1, live[rows], grid.d2_max, kappa, DEFAULT_CONFIG)
+            live = probe._live_blocks(kappa, grid, expected[0] + probe._PRUNE_MARGIN)
+            job = (lo + 1, live[rows], grid.d2_max, kappa)
             assert probe._scan_stripe(job) == expected
 
     @settings(max_examples=200, deadline=None)
@@ -129,7 +130,7 @@ class TestGridInfimum:
     def test_block_bound_below_every_cell(self, kappa, d1_lo, d2_lo, rows, cols):
         a = np.arange(d1_lo, d1_lo + rows)[:, None] / 2.0
         b = np.arange(d2_lo, d2_lo + cols)[None, :] / 2.0
-        bound = probe._block_bound(kappa, a[0, 0], a[-1, 0], b[0, 0], b[0, -1], DEFAULT_CONFIG)
+        bound = probe._block_bound(kappa, a[0, 0], a[-1, 0], b[0, 0], b[0, -1])
         cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
         assert bound <= cells.min() + REG_INC_BETA_ABS_ERR
 
@@ -149,7 +150,7 @@ class TestGridInfimum:
     def test_segment_bound_below_every_cell(self, kappa, d1, d2_lo, cols):
         a = d1 / 2.0
         b = np.arange(d2_lo, d2_lo + cols) / 2.0
-        bound = probe._segment_bound(kappa, a, b[-1], DEFAULT_CONFIG)
+        bound = probe._segment_bound(kappa, a, b[-1])
         cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
         assert bound <= cells.min() + REG_INC_BETA_ABS_ERR
 
@@ -161,9 +162,9 @@ class TestGridInfimum:
         evaluated = []
         min_cell = probe._min_cell
 
-        def counting(kappa, a, b, config):
+        def counting(kappa, a, b):
             evaluated.append(a.size)
-            return min_cell(kappa, a, b, config)
+            return min_cell(kappa, a, b)
 
         monkeypatch.setattr(probe, "_min_cell", counting)
         grid_infimum(kappa, grid)
@@ -179,9 +180,9 @@ class TestGridInfimum:
         evaluated = []
         min_cell = probe._min_cell
 
-        def counting(kappa, a, b, config):
+        def counting(kappa, a, b):
             evaluated.append(a.size)
-            return min_cell(kappa, a, b, config)
+            return min_cell(kappa, a, b)
 
         monkeypatch.setattr(probe, "_min_cell", counting)
         grid_infimum(kappa, grid)
@@ -214,20 +215,20 @@ class TestGridInfimum:
         # kappa = 1 the rows' certified prefixes differ, so blocks straddle
         # them
         grid = GridSpec(300, 400)
-        limit = probe._seed(kappa, grid, DEFAULT_CONFIG)[0] + probe._PRUNE_MARGIN
+        limit = probe._seed(kappa, grid)[0] + probe._PRUNE_MARGIN
         a = np.arange(1, grid.d1_max + 1) / 2.0
         b = np.arange(3, grid.d2_max + 1) / 2.0
-        segments = probe._certified_segments(kappa, a, grid.d2_max, limit, DEFAULT_CONFIG)
+        segments = probe._certified_segments(kappa, a, grid.d2_max, limit)
         certified_to = probe._segment_ends(segments - 1, grid.d2_max)  # b = 1 when none
         taken = []
         block_bound = probe._block_bound
 
-        def recording(kappa, a_lo, a_hi, b_lo, b_hi, config):
+        def recording(kappa, a_lo, a_hi, b_lo, b_hi):
             taken.append((a_lo, a_hi, b_hi))
-            return block_bound(kappa, a_lo, a_hi, b_lo, b_hi, config)
+            return block_bound(kappa, a_lo, a_hi, b_lo, b_hi)
 
         monkeypatch.setattr(probe, "_block_bound", recording)
-        live = probe._live_blocks(kappa, grid, limit, DEFAULT_CONFIG)
+        live = probe._live_blocks(kappa, grid, limit)
         assert len(taken) == 2
         for a_lo, a_hi, b_hi in taken:
             assert (a_hi <= a[-1]).all() and (b_hi <= b[-1]).all()
@@ -251,7 +252,7 @@ class TestGridInfimum:
         # every cell the pruning pass leaves out must lie strictly above it
         value = prob_leq_kappa_mean(FParams(min(d1_cell, d1_max), min(d2_cell, d2_max)), kappa)
         grid = GridSpec(d1_max, d2_max)
-        live = probe._live_blocks(kappa, grid, value + probe._PRUNE_MARGIN, DEFAULT_CONFIG)
+        live = probe._live_blocks(kappa, grid, value + probe._PRUNE_MARGIN)
         a = np.arange(1, d1_max + 1)[:, None] / 2.0
         b = np.arange(3, d2_max + 1)[None, :] / 2.0
         cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
@@ -269,9 +270,9 @@ class TestGridInfimum:
         # limit as the scan forms it: a real cell's value plus the margin
         a = np.array([d1 / 2.0])
         limit = prob_leq_kappa_mean(FParams(d1, min(d2_cell, d2_max)), kappa) + probe._PRUNE_MARGIN
-        cut = int(probe._certified_segments(kappa, a, d2_max, limit, DEFAULT_CONFIG)[0])
+        cut = int(probe._certified_segments(kappa, a, d2_max, limit)[0])
         n_seg = -(-(d2_max - 2) // probe._SEGMENT)
-        bounds = probe._segment_bound(kappa, a, probe._segment_ends(np.arange(n_seg), d2_max), DEFAULT_CONFIG)
+        bounds = probe._segment_bound(kappa, a, probe._segment_ends(np.arange(n_seg), d2_max))
         assert (bounds[:cut] > limit).all()
         if cut < n_seg:
             assert bounds[cut] <= limit
@@ -284,9 +285,9 @@ class TestGridInfimum:
         evaluated = []
         min_cell = probe._min_cell
 
-        def counting(kappa, a, b, config):
+        def counting(kappa, a, b):
             evaluated.append(a.size)
-            return min_cell(kappa, a, b, config)
+            return min_cell(kappa, a, b)
 
         monkeypatch.setattr(probe, "_min_cell", counting)
         grid_infimum(kappa, grid)
@@ -331,7 +332,7 @@ class TestGridInfimum:
         b_hi = probe._segment_ends(segment, d2_max)
         b = np.arange(2 * b_hi - probe._SEGMENT + 1, 2 * b_hi + 1).clip(3, None) / 2.0
         a = np.full(b.size, d1 / 2.0)
-        p1 = probe._segment_bound(kappa, a[0], b_hi, DEFAULT_CONFIG)
+        p1 = probe._segment_bound(kappa, a[0], b_hi)
         inc = probe._increment(kappa, a, b, _ln_lanczos_halves(d1 + d2_max))
         bound = p1 - probe._INCREMENT_MARGIN + inc * (1.0 - BETA_DENSITY_REL_ERR)
         cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
@@ -358,8 +359,8 @@ class TestGridInfimum:
         monkeypatch.setattr(probe, "_certify_increment", grab)
         grid = GridSpec(1999, 1999)
         for kappa in (1.00005, 1.001, 1.005, 1.05):
-            limit = probe._seed(kappa, grid, DEFAULT_CONFIG)[0] + probe._PRUNE_MARGIN
-            probe._live_blocks(kappa, grid, limit, DEFAULT_CONFIG)
+            limit = probe._seed(kappa, grid)[0] + probe._PRUNE_MARGIN
+            probe._live_blocks(kappa, grid, limit)
         table = _ln_lanczos_halves(grid.d1_max + grid.d2_max)
         with mpmath.workdps(40):
             for kappa, a, b in seen:
@@ -380,9 +381,9 @@ class TestGridInfimum:
         taken = []
         block_bound = probe._block_bound
 
-        def recording(kappa, a_lo, a_hi, b_lo, b_hi, config):
+        def recording(kappa, a_lo, a_hi, b_lo, b_hi):
             taken.append((a_lo, a_hi, b_lo, b_hi))
-            return block_bound(kappa, a_lo, a_hi, b_lo, b_hi, config)
+            return block_bound(kappa, a_lo, a_hi, b_lo, b_hi)
 
         def origin(lo, first):
             # the lowest shape of the 16-aligned block holding lo
@@ -395,8 +396,8 @@ class TestGridInfimum:
         clamped_rows = clamped_cols = 0
         for kappa, grid in [(0.5, GridSpec(301, 405)), (1.5, GridSpec(137, 1001)), (16.0, GridSpec(299, 399))]:
             taken.clear()
-            limit = probe._seed(kappa, grid, DEFAULT_CONFIG)[0] + probe._PRUNE_MARGIN
-            probe._live_blocks(kappa, grid, limit, DEFAULT_CONFIG)
+            limit = probe._seed(kappa, grid)[0] + probe._PRUNE_MARGIN
+            probe._live_blocks(kappa, grid, limit)
             assert len(taken) == 2
             (a_lo, a_hi, b_lo, b_hi), strips = taken
             assert a_lo.size and ((2 * a_lo - 1) % 16 == 0).all() and ((2 * b_lo - 3) % 16 == 0).all()
@@ -419,7 +420,7 @@ class TestGridInfimum:
         grid = GridSpec(1999, 1999)
         a = np.arange(1, grid.d1_max + 1)[:, None] / 2.0
         n_seg = -(-(grid.d2_max - 2) // probe._SEGMENT)
-        p1 = probe._segment_bound(1.5, a, probe._segment_ends(np.arange(n_seg), grid.d2_max)[None, :], DEFAULT_CONFIG)
+        p1 = probe._segment_bound(1.5, a, probe._segment_ends(np.arange(n_seg), grid.d2_max)[None, :])
         assert (np.diff(p1, axis=1) < -2.0 * REG_INC_BETA_ABS_ERR).all()
 
     @pytest.mark.parametrize("kappa, pools", [(1.0, 0), (1.001, 0), (1.05, 1)])
@@ -429,15 +430,40 @@ class TestGridInfimum:
         # three stripes do
         grid = GridSpec(300, 400)
         started = []
-        executor = probe.ProcessPoolExecutor
+        executor = concurrent.futures.ProcessPoolExecutor
 
         def counting(*args, **kwargs):
             started.append(1)
             return executor(*args, **kwargs)
 
-        monkeypatch.setattr(probe, "ProcessPoolExecutor", counting)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
         assert grid_infimum(kappa, grid, workers=2) == grid_infimum(kappa, grid)
         assert len(started) == pools
+
+    def test_pool_sized_to_live_stripes(self, monkeypatch):
+        # a forking pool starts all max_workers processes at once, so a pool
+        # asked for 64 workers gets one per live stripe; this stand-in runs
+        # the stripes in this process and starts none
+        class Executor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                jobs = list(jobs)
+                stripes.append(len(jobs))
+                return map(fn, jobs)
+
+        sizes, stripes = [], []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
+        grid = GridSpec(300, 400)
+        assert grid_infimum(1.05, grid, workers=64) == grid_infimum(1.05, grid)
+        assert sizes == stripes == [3]
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -447,10 +473,10 @@ class TestGridInfimum:
         parent = os.getpid()
         kernel = fdist.reg_inc_beta
 
-        def fail_in_worker(x, a, b, config):
+        def fail_in_worker(x, a, b):
             if os.getpid() != parent:
                 raise ConvergenceError("forced failure", 7, (0.5, 1.0, 2.0))
-            return kernel(x, a, b, config)
+            return kernel(x, a, b)
 
         monkeypatch.setattr(fdist, "reg_inc_beta", fail_in_worker)
         # three stripes hold live cells at kappa = 1.05, so the pool starts
@@ -459,13 +485,13 @@ class TestGridInfimum:
         assert err.value.iterations == 7
         assert err.value.args_at_failure == (0.5, 1.0, 2.0)
 
-    def test_convergence_failure_names_cell(self):
+    def test_convergence_failure_names_cell(self, monkeypatch):
         # at kappa = 1.00005 the fraction of cell (60000, 60010) needs more
         # than 100 iterations, and it runs on the symmetry branch
-        cfg = EvalConfig(cf_max_iter=100)
+        monkeypatch.setattr(special, "_CF_MAX_ITER", 100)
         with pytest.raises(ConvergenceError, match=r"\(d1, d2\) = \(60000, 60010\)"):
             with probe._naming_cell(1.00005):
-                probe._min_cell(1.00005, np.array([30000.0]), np.array([30005.0]), cfg)
+                probe._min_cell(1.00005, np.array([30000.0]), np.array([30005.0]))
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -473,20 +499,20 @@ class TestGridInfimum:
     )
     @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
     def test_cli_convergence_failure_exit_code_names_cell(self, monkeypatch, capsys, workers):
-        # no legal EvalConfig makes a grid fraction fail at these caps, so
+        # the fixed iteration cap lets no grid fraction fail at these caps, so
         # the kernel is patched to fail at cell (135, 12) as the real one
         # would; the pruning pass leaves that cell live
         grid = GridSpec(140, 40)
-        limit = probe._seed(1.00005, grid, DEFAULT_CONFIG)[0] + probe._PRUNE_MARGIN
-        assert probe._live_blocks(1.00005, grid, limit, DEFAULT_CONFIG)[134, (12 - 3) // probe._RUN]
+        limit = probe._seed(1.00005, grid)[0] + probe._PRUNE_MARGIN
+        assert probe._live_blocks(1.00005, grid, limit)[134, (12 - 3) // probe._RUN]
         kernel = fdist.reg_inc_beta
 
-        def fail_at_cell(x, a, b, config):
+        def fail_at_cell(x, a, b):
             hit = np.flatnonzero((a == 67.5) & (b == 6.0))
             if hit.size:
                 i = hit[0]
                 raise ConvergenceError("forced failure", 100, (float(x[i]), float(a[i]), float(b[i])))
-            return kernel(x, a, b, config)
+            return kernel(x, a, b)
 
         monkeypatch.setattr(fdist, "reg_inc_beta", fail_at_cell)
         caps = ["--d1-max", "140", "--d2-max", "40", "--a-max", "5"]
@@ -501,18 +527,18 @@ class TestGridInfimum:
         kernel = fdist.reg_inc_beta
         q_1 = probe._threshold(1.0, 19.0, 129.0)
 
-        def fail_at_p1(x, a, b, config):
+        def fail_at_p1(x, a, b):
             x, a, b = np.broadcast_arrays(x, a, b)
             hit = np.flatnonzero((a == 19.0) & (b == 129.0) & (x == q_1))
             if hit.size:
                 i = hit[0]
                 raise ConvergenceError("forced failure", 100, (float(x[i]), float(a[i]), float(b[i])))
-            return kernel(x, a, b, config)
+            return kernel(x, a, b)
 
         monkeypatch.setattr(fdist, "reg_inc_beta", fail_at_p1)
         grid = GridSpec(200, 300)
-        limit = probe._seed(1.005, grid, DEFAULT_CONFIG)[0] + probe._PRUNE_MARGIN
-        probe._certified_segments(1.005, np.arange(1, 201) / 2.0, 300, limit, DEFAULT_CONFIG)
+        limit = probe._seed(1.005, grid)[0] + probe._PRUNE_MARGIN
+        probe._certified_segments(1.005, np.arange(1, 201) / 2.0, 300, limit)
         caps = ["--d1-max", "200", "--d2-max", "300", "--a-max", "5"]
         assert cli.main(["inf", "--kappa", "1.005", *caps, *workers]) == cli.EXIT_NUMERICAL
         assert "grid scan at kappa=1.005: convergence failure at (d1, d2) = (38, 258)" in capsys.readouterr().err
@@ -524,14 +550,14 @@ class TestGridInfimum:
         # meet the failing cell first
         kernel = fdist.reg_inc_beta
 
-        def fail_at_cell(x, a, b, config):
+        def fail_at_cell(x, a, b):
             # the first-segment bounds share one scalar b
             x, a, b = np.broadcast_arrays(x, a, b)
             hit = np.flatnonzero((a == 67.5) & (b == 33.0))
             if hit.size:
                 i = hit[0]
                 raise ConvergenceError("forced failure", 100, (float(x[i]), float(a[i]), float(b[i])))
-            return kernel(x, a, b, config)
+            return kernel(x, a, b)
 
         monkeypatch.setattr(fdist, "reg_inc_beta", fail_at_cell)
         caps = ["--d1-max", "140", "--d2-max", "100", "--a-max", "5"]
@@ -546,14 +572,14 @@ class TestGridInfimum:
         kernel = probe.reg_inc_beta
         calls, failed = [], []
 
-        def fail_on_call(x, a, b, config):
+        def fail_on_call(x, a, b):
             x, a, b = np.broadcast_arrays(x, a, b)
             if x.size:
                 calls.append(x.size)
                 if len(calls) == failing_call:
                     failed.append((int(2.0 * a[0]), int(2.0 * b[0])))
                     raise ConvergenceError("forced failure", 100, (float(x[0]), float(a[0]), float(b[0])))
-            return kernel(x, a, b, config)
+            return kernel(x, a, b)
 
         monkeypatch.setattr(probe, "reg_inc_beta", fail_on_call)
         caps = ["--d1-max", "40", "--d2-max", "40", "--a-max", "5"]

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from fconc import (
     ConvergenceError,
-    EvalConfig,
     beta,
     ln_beta,
     ln_gamma,
@@ -16,39 +15,10 @@ from fconc import (
     reg_lower_gamma,
 )
 
+from fconc import special
 from fconc.special import _CHUNK, REG_INC_BETA_ABS_ERR
 
 from conftest import PROBE_KAPPAS, seeded_triples
-
-
-class TestEvalConfig:
-    def test_defaults_valid(self):
-        cfg = EvalConfig()
-        assert not hasattr(cfg, "cf_tolerance")
-        assert cfg.cf_max_iter >= 100
-        assert 0 < cfg.quad_tolerance < 1e-6
-        assert cfg.quad_max_level >= 5
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"cf_max_iter": 150.5},
-            {"quad_max_level": 12.5},
-            {"cf_max_iter": 99},
-            {"quad_tolerance": -1e-9},
-            {"quad_tolerance": 1e-3},
-            {"quad_max_level": 4},
-        ],
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            EvalConfig(**kwargs)
-
-    def test_cf_tolerance_is_not_a_field(self):
-        # the continued fractions' tolerance is fixed: REG_INC_BETA_ABS_ERR
-        # and the grid scan's pruning margins hold at that value only
-        with pytest.raises(TypeError):
-            EvalConfig(cf_tolerance=1e-15)
 
 
 class TestLnGamma:
@@ -201,18 +171,19 @@ class TestRegIncBeta:
         with pytest.raises(ValueError):
             reg_inc_beta(*args)
 
-    def test_convergence_error_carries_iterations(self):
-        cfg = EvalConfig(cf_max_iter=100)
+    def test_convergence_error_carries_iterations(self, monkeypatch):
+        monkeypatch.setattr(special, "_CF_MAX_ITER", 100)
         with pytest.raises(ConvergenceError) as err:
-            reg_lower_gamma(10000.0, 10000.0, cfg)
+            reg_lower_gamma(10000.0, 10000.0)
         assert err.value.iterations == 100
         assert err.value.args_at_failure == (10000.0, 10000.0)
 
-    def test_convergence_error_reports_callers_arguments(self):
+    def test_convergence_error_reports_callers_arguments(self, monkeypatch):
         # x lies past (a+1)/(a+b+2), so the fraction runs on the symmetry
         # branch (1-x, b, a); the report still names the caller's (x, a, b)
+        monkeypatch.setattr(special, "_CF_MAX_ITER", 100)
         with pytest.raises(ConvergenceError) as err:
-            reg_inc_beta(0.50005, 30000.0, 30010.0, EvalConfig(cf_max_iter=100))
+            reg_inc_beta(0.50005, 30000.0, 30010.0)
         assert err.value.args_at_failure == (0.50005, 30000.0, 30010.0)
         assert "x=0.50005, a=30000.0, b=30010.0" in str(err.value)
 
@@ -238,7 +209,7 @@ class TestRegIncBeta:
         single = np.array([reg_inc_beta(float(x[i]), float(a[i]), float(b[i])) for i in picks])
         assert (single.view(np.int64) == out[picks].view(np.int64)).all()
 
-    def test_convergence_error_names_first_failure_across_chunks(self):
+    def test_convergence_error_names_first_failure_across_chunks(self, monkeypatch):
         # the first chunk converges quickly; each later chunk holds a triple
         # whose fraction needs more than 100 iterations
         n = 4 * _CHUNK
@@ -250,8 +221,9 @@ class TestRegIncBeta:
         failing = {_CHUNK + 11: (0.50005, 30000.0, 30010.0), 2 * _CHUNK + 5: (0.50005, 30001.0, 30011.0)}
         for j, triple in failing.items():
             x[interior[j]], a[interior[j]], b[interior[j]] = triple
+        monkeypatch.setattr(special, "_CF_MAX_ITER", 100)
         with pytest.raises(ConvergenceError) as err:
-            reg_inc_beta(x, a, b, EvalConfig(cf_max_iter=100))
+            reg_inc_beta(x, a, b)
         assert err.value.args_at_failure == (0.50005, 30000.0, 30010.0)
         # a count of failures would be over one chunk, not the whole call
         assert str(err.value) == (

@@ -11,7 +11,6 @@ import pytest
 import fconc.verify
 from fconc import (
     CheckResult,
-    EvalConfig,
     FParams,
     QuadratureError,
     check_kappa_monotone,
@@ -25,7 +24,6 @@ from fconc import (
 )
 from fconc.fdist import _probe
 from fconc.probe import limit_b
-from fconc.special import DEFAULT_CONFIG
 from fconc.verify import check_oracle_agreement
 
 from conftest import seeded_triples
@@ -68,10 +66,21 @@ class TestQuadIncBeta:
             with pytest.raises(ValueError, match="a and b to be finite"):
                 quad_inc_beta(0.5, a, b)
 
-    def test_refinement_cap_error(self):
-        cfg = EvalConfig(quad_tolerance=1e-12, quad_max_level=5)
+    @pytest.mark.parametrize("x, a, b", [(0.5, 1.0, 1e10), (0.5, 1.0, 1e44), (0.5, 1e6, 1e6)])
+    def test_shapes_past_the_domain_bound_rejected(self, x, a, b):
+        # far past the bound the complete integral cannot converge; the
+        # caller gets a domain error naming the bound, not a convergence one
+        with pytest.raises(ValueError, match="at most 100000"):
+            quad_inc_beta(x, a, b)
+
+    def test_shapes_at_the_domain_bound_accepted(self):
+        # I_{1/2}(a, a) = 1/2; the 1e-12 budget is checked only up to 2000,
+        # and here the oracle measured 6.5e-12 off
+        assert quad_inc_beta(0.5, 1e5, 1e5) == pytest.approx(0.5, abs=1e-10)
+
+    def test_refinement_cap_error(self, tight_oracle):
         with pytest.raises(QuadratureError) as err:
-            quad_inc_beta(0.5, 1500.0, 1500.0, cfg)
+            quad_inc_beta(0.5, 1500.0, 1500.0)
         assert err.value.iterations == 5
 
     @pytest.mark.parametrize(
@@ -129,31 +138,33 @@ class TestQuadIncBeta:
 
     @pytest.mark.parametrize("first, second", [(0, 1), (63, 64), (5, 100)])
     @pytest.mark.parametrize("complete_first", [True, False])
-    def test_failure_order_is_the_scalar_loop_order(self, first, second, complete_first):
+    def test_failure_order_is_the_scalar_loop_order(self, tight_oracle, first, second, complete_first):
         # at this cap (0.001, 2, 1500) fails only its complete integral and
         # (0.5, 2, 1500) its partial one; a scalar loop meets element i's
         # partial integral, then its complete one, then element i + 1's.
         # (63, 64) and (5, 100) put the two in different 64-element chunks.
-        cfg = EvalConfig(quad_tolerance=1e-12, quad_max_level=5)
         complete_fails, partial_fails = (0.001, 2.0, 1500.0), (0.5, 2.0, 1500.0)
         sample = np.tile((0.3, 2.0, 3.0), (second + 1, 1))
         sample[first], sample[second] = (
             (complete_fails, partial_fails) if complete_first else (partial_fails, complete_fails)
         )
         with pytest.raises(QuadratureError) as err:
-            quad_inc_beta(sample[:, 0], sample[:, 1], sample[:, 2], cfg)
+            quad_inc_beta(sample[:, 0], sample[:, 1], sample[:, 2])
         assert err.value.args_at_failure == ((1.0, 2.0, 1500.0) if complete_first else partial_fails)
         assert err.value.iterations == 5
 
-    def test_level_tables_read_only_and_history_free(self):
+    def test_level_tables_read_only_and_history_free(self, monkeypatch, tight_oracle):
         # the per-level node tables are shared by every call: a capped call
         # that raised, then a call at other settings, must leave the bits of
-        # a later default call equal to the one-integral reference
+        # a later call at the fixed settings equal to the one-integral reference
         fconc.verify._ts_level.cache_clear()
         with pytest.raises(QuadratureError):
-            quad_inc_beta(0.5, 2.0, 1500.0, EvalConfig(quad_tolerance=1e-12, quad_max_level=5))
+            quad_inc_beta(0.5, 2.0, 1500.0)
         s = seeded_triples(5, 60, 0.5, 2000.0)
-        quad_inc_beta(s[:, 0], s[:, 1], s[:, 2], EvalConfig(quad_tolerance=1e-7, quad_max_level=14))
+        monkeypatch.setattr(fconc.verify, "_LOG_TOLERANCE", 2.5e-8)
+        monkeypatch.setattr(fconc.verify, "_MAX_LEVEL", 14)
+        quad_inc_beta(s[:, 0], s[:, 1], s[:, 2])
+        monkeypatch.undo()
         got = quad_inc_beta(s[:, 0], s[:, 1], s[:, 2])
         assert [v.hex() for v in got.tolist()] == [_quad_ref(*row).hex() for row in s.tolist()]
         levels = fconc.verify._ts_level.cache_info().currsize
@@ -252,10 +263,10 @@ class TestCheckLimit:
         # the probe falls onto its limit from above; raising the limit by
         # 0.01 for two pairs makes their residual grow once the gap is
         # below 0.01, and (a, kappa) = (1, 1) comes before (5, 0.5) a-major
-        def shifted(a, kappa, config=DEFAULT_CONFIG):
+        def shifted(a, kappa):
             a = np.asarray(a, dtype=np.float64)
             hit = ((a == 1.0) & (kappa == 1.0)) | ((a == 5.0) & (kappa == 0.5))
-            return limit_b(a, kappa, config) + np.where(hit, 0.01, 0.0)
+            return limit_b(a, kappa) + np.where(hit, 0.01, 0.0)
 
         monkeypatch.setattr(fconc.verify, "limit_b", shifted)
         r = check_limit((0.5, 1.0, 5.0), (0.5, 1.0), [2.0 ** j for j in range(1, 14)])
@@ -343,14 +354,14 @@ class TestCheckInputs:
             check(*args)
 
 
-def _monotone_b_loop(kappa, d1_list, d2_range, tol_strict=1e-14, config=DEFAULT_CONFIG):
+def _monotone_b_loop(kappa, d1_list, d2_range, tol_strict=1e-14):
     # reference: one _probe call per d1, reduced in a Python loop
     kappa = float(kappa)
     d2s = np.asarray(list(d2_range), dtype=np.int64)
     observational = kappa > 1.0
     worst, first, n = -np.inf, None, 0
     for d1 in d1_list:
-        diffs = np.diff(_probe(kappa, d1 / 2.0, d2s / 2.0, config))
+        diffs = np.diff(_probe(kappa, d1 / 2.0, d2s / 2.0))
         n += diffs.size
         j = int(np.argmax(diffs))
         if diffs[j] > worst:
@@ -370,13 +381,13 @@ def _monotone_b_loop(kappa, d1_list, d2_range, tol_strict=1e-14, config=DEFAULT_
     )
 
 
-def _limit_loop(a_list, kappa_list, b_ladder, final_tol=1e-3, config=DEFAULT_CONFIG):
+def _limit_loop(a_list, kappa_list, b_ladder, final_tol=1e-3):
     # reference: one _probe and one limit_b call per (a, kappa)
     ladder = np.asarray(list(b_ladder), dtype=np.float64)
     worst, violation, pairs = 0.0, None, 0
     for a in a_list:
         for kappa in kappa_list:
-            resid = np.abs(_probe(kappa, a, ladder, config) - limit_b(a, kappa, config))
+            resid = np.abs(_probe(kappa, a, ladder) - limit_b(a, kappa))
             pairs += 1
             grows = np.diff(resid) >= 0.0
             if grows.any() and violation is None:
@@ -394,13 +405,13 @@ def _limit_loop(a_list, kappa_list, b_ladder, final_tol=1e-3, config=DEFAULT_CON
     )
 
 
-def _kappa_monotone_loop(p_sample, kappa_ladder, config=DEFAULT_CONFIG):
+def _kappa_monotone_loop(p_sample, kappa_ladder):
     # reference: one scalar prob_leq_kappa_mean call per (pair, kappa)
     ladder = [float(k) for k in kappa_ladder]
     min_inc, violation, comparisons = np.inf, None, 0
     for p in p_sample:
         fp = p if isinstance(p, FParams) else FParams(int(p[0]), int(p[1]))
-        vals = [prob_leq_kappa_mean(fp, k, config) for k in ladder]
+        vals = [prob_leq_kappa_mean(fp, k) for k in ladder]
         for k1, k2, v1, v2 in zip(ladder, ladder[1:], vals, vals[1:]):
             comparisons += 1
             inc = v2 - v1
@@ -446,13 +457,14 @@ def test_checks_equal_per_pair_loops_on_full_suite(monkeypatch, seed):
         assert type(result.samples) is int and type(result.passed) is bool
 
 
-def _ts_log_integral_ref(hi, am1, bm1, config):
-    # reference: the one-integral tanh-sinh loop, with Python floats per step
+def _ts_log_integral_ref(hi, am1, bm1):
+    # reference: the one-integral tanh-sinh loop, with Python floats per step,
+    # at the oracle's tolerance and cap as they stand (tests patch them)
     halfspan = 0.5 * hi
     onemhi = 1.0 - hi
-    rel_tol = max(config.quad_tolerance / 4.0, 4e-15)
+    max_level = fconc.verify._MAX_LEVEL
     scale, total, prev_log = -np.inf, 0.0, None
-    for level in range(config.quad_max_level + 1):
+    for level in range(max_level + 1):
         h = 0.5 ** level
         ks = fconc.verify._ts_level_nodes(h, level)
         kh = ks * h
@@ -473,35 +485,35 @@ def _ts_log_integral_ref(hi, am1, bm1, config):
         total = 0.5 * total if level > 0 else 0.0
         total += float(np.sum(np.exp(expo - scale) * ww))
         log_val = math.log(total) + scale
-        if prev_log is not None and abs(log_val - prev_log) <= rel_tol:
+        if prev_log is not None and abs(log_val - prev_log) <= fconc.verify._LOG_TOLERANCE:
             return log_val
         prev_log = log_val
     raise QuadratureError(
-        f"tanh-sinh refinement cap {config.quad_max_level} reached "
+        f"tanh-sinh refinement cap {max_level} reached "
         f"(hi={hi!r}, a={am1 + 1.0!r}, b={bm1 + 1.0!r})",
-        config.quad_max_level,
+        max_level,
         args_at_failure=(hi, am1 + 1.0, bm1 + 1.0),
     )
 
 
-def _quad_ref(x, a, b, config=DEFAULT_CONFIG):
+def _quad_ref(x, a, b):
     # reference: one sample's oracle value as two scalar integrals
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return 1.0
-    log_num = _ts_log_integral_ref(x, a - 1.0, b - 1.0, config)
-    log_den = _ts_log_integral_ref(1.0, a - 1.0, b - 1.0, config)
+    log_num = _ts_log_integral_ref(x, a - 1.0, b - 1.0)
+    log_den = _ts_log_integral_ref(1.0, a - 1.0, b - 1.0)
     return min(1.0, math.exp(log_num - log_den))
 
 
-def _oracle_loop(sample, tol=1e-9, config=DEFAULT_CONFIG):
+def _oracle_loop(sample, tol=1e-9):
     # reference: one scalar oracle call per sample, reduced in a Python loop
     s = np.asarray(sample, dtype=np.float64)
-    cf_vals = reg_inc_beta(s[:, 0], s[:, 1], s[:, 2], config)
+    cf_vals = reg_inc_beta(s[:, 0], s[:, 1], s[:, 2])
     worst = 0.0
     for (x, a, b), cf in zip(s.tolist(), cf_vals.tolist()):
-        worst = max(worst, abs(_quad_ref(x, a, b, config) - cf))
+        worst = max(worst, abs(_quad_ref(x, a, b) - cf))
     return CheckResult(
         name="oracle-agreement", samples=len(s), max_residual=worst,
         passed=worst <= tol, detail=f"continued fraction vs quadrature within {tol:g}",
@@ -524,7 +536,7 @@ def test_oracle_equals_per_sample_loop_on_full_suite(monkeypatch, seed):
     run_suite("full", seed=seed)
     [(sample, args, kwargs, result)] = calls
     x, a, b = np.asarray(sample).T
-    values = quad_inc_beta(x, a, b, DEFAULT_CONFIG)
+    values = quad_inc_beta(x, a, b)
     refs = [_quad_ref(*row) for row in zip(x.tolist(), a.tolist(), b.tolist())]
     assert [v.hex() for v in values.tolist()] == [r.hex() for r in refs]
     ref = _oracle_loop(sample, *args, **kwargs)
@@ -538,17 +550,16 @@ class TestOracleAgreement:
         assert r.passed
         assert r.max_residual <= 1e-9
 
-    def test_failure_names_first_failing_integral(self):
+    def test_failure_names_first_failing_integral(self, tight_oracle):
         # 36 converging samples fill the first 64-row chunk and spill into the
         # second; then one sample fails on its complete integral and the next
         # on its partial one. The per-sample loop fails on the former first.
-        cfg = EvalConfig(quad_tolerance=1e-12, quad_max_level=5)
         s = seeded_triples(5, 60, 0.5, 2000.0)
         sample = np.concatenate([np.tile(s[1:5], (9, 1)), s[[5, 0]]])
         with pytest.raises(QuadratureError) as ref:
-            _oracle_loop(sample, config=cfg)
+            _oracle_loop(sample)
         with pytest.raises(QuadratureError) as err:
-            check_oracle_agreement(sample, config=cfg)
+            check_oracle_agreement(sample)
         assert ref.value.args_at_failure[0] == 1.0
         assert err.value.args_at_failure == ref.value.args_at_failure
         assert all(type(v) is float for v in err.value.args_at_failure)
@@ -559,8 +570,8 @@ class TestOracleAgreement:
         ones = np.ones(3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            q = quad_inc_beta(np.array([0.0, 0.3, 1.0]), 2.0 * ones, 3.0 * ones, DEFAULT_CONFIG)
-            ends = quad_inc_beta(np.array([1.0, 0.0]), ones[:2], ones[:2], DEFAULT_CONFIG)
+            q = quad_inc_beta(np.array([0.0, 0.3, 1.0]), 2.0 * ones, 3.0 * ones)
+            ends = quad_inc_beta(np.array([1.0, 0.0]), ones[:2], ones[:2])
             r = check_oracle_agreement([(0.0, 2.0, 3.0), (1.0, 2.0, 3.0)])
         assert [v.hex() for v in q.tolist()] == [0.0.hex(), _quad_ref(0.3, 2.0, 3.0).hex(), 1.0.hex()]
         assert [v.hex() for v in ends.tolist()] == [1.0.hex(), 0.0.hex()]
@@ -568,8 +579,8 @@ class TestOracleAgreement:
 
     def test_nan_continued_fraction_value_fails(self, monkeypatch):
         # a Python max() reduction from 0.0 dropped the NaN and passed
-        def one_nan(x, a, b, config=DEFAULT_CONFIG):
-            vals = reg_inc_beta(x, a, b, config)
+        def one_nan(x, a, b):
+            vals = reg_inc_beta(x, a, b)
             vals[3] = math.nan
             return vals
 
