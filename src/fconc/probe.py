@@ -14,17 +14,21 @@ Three ingredients:
   bound: q increases in kappa, so P_kappa >= P_min(kappa, 1) cell by cell,
   and by the paper's theorem P_k' strictly decreases in b for k' <= 1, so
   P_min(kappa, 1)(a, b_hi) bounds every cell of a row up to b_hi: a row's
-  certified 64-column segments are a prefix, found by bisection. Increment
-  bound, for kappa > 1: the step from P_1 to P_kappa is the integral of the
+  certified 64-column segments are a prefix. At kappa <= 1 the seed's
+  column d2 = d2_max is each row's last segment bound and certifies most
+  rows whole; the other rows' prefixes are found by bisection, whose last
+  steps are one call over every segment end still open. Increment bound,
+  for kappa > 1: the step from P_1 to P_kappa is the integral of the
   Beta(a, b) density f over [q_1, q_kappa], and f does not increase there,
   so P_1(a, b_hi) + (q_kappa - q_1) * f(q_kappa) bounds the cell (a, b)
-  for b <= b_hi. The block bounds prune far from kappa = 1, the segment
-  bound at and below it, and the increment bound just above it. A cell is
-  skipped only when a bound, less its error budget, exceeds an evaluated
-  cell's value by more than twice reg_inc_beta's absolute error, so a
-  skipped cell can be neither the minimum nor tied with it. Exhaustiveness
-  thus also rests on the theorem, for kappa <= 1 and for kappa > 1 near 1
-  alike, which verify.check_monotone_b tests on its own sample;
+  for b <= b_hi; one call takes P_1 at every segment end the stage needs.
+  The block bounds prune far from kappa = 1, the segment bound at and
+  below it, and the increment bound just above it. A cell is skipped only
+  when a bound, less its error budget, exceeds an evaluated cell's value
+  by more than twice reg_inc_beta's absolute error, so a skipped cell can
+  be neither the minimum nor tied with it. Exhaustiveness thus also rests
+  on the theorem, for kappa <= 1 and for kappa > 1 near 1 alike, which
+  verify.check_monotone_b tests on its own sample;
 * the b -> infinity limit curve g_kappa(a) = P(a, kappa*a), whose minimum
   over an a-grid is the second infimum candidate;
 * the closed-form answers for kappa <= 1 (0 below 1, 1/2 at 1, neither
@@ -34,6 +38,9 @@ Three ingredients:
 One pass in the calling process decides which cells to evaluate; the live
 cells are evaluated in d1 stripes whose per-cell arithmetic does not depend
 on stripe boundaries, so results are bit-identical for any worker count.
+Near kappa = 1 the pass's cost is per continued-fraction call, some 3-7 ms
+at the caps' shapes whatever the call's size, so each of its stages takes
+its bounds in as few calls as it can.
 """
 
 from __future__ import annotations
@@ -198,13 +205,17 @@ def _naming_cell(kappa):
         ) from exc
 
 
-def _min_cell(kappa, a, b):
-    """(value, d1, d2) of the first smallest probe value over flat shape
-    arrays; grid_infimum names a ConvergenceError."""
-    vals = _probe(kappa, a, b)
+def _first_min(vals, a, b):
+    """(value, d1, d2) of the first smallest of vals over flat shape arrays."""
     i = int(np.argmin(vals))
     # halves of integers are exact doubles, so 2a and 2b recover the cell
     return float(vals[i]), int(2.0 * a[i]), int(2.0 * b[i])
+
+
+def _min_cell(kappa, a, b):
+    """(value, d1, d2) of the first smallest probe value over flat shape
+    arrays; grid_infimum names a ConvergenceError."""
+    return _first_min(_probe(kappa, a, b), a, b)
 
 
 def _segment_bound(kappa, a, b_hi):
@@ -220,23 +231,38 @@ def _segment_ends(cols, d2_max):
     return np.minimum((cols + 1) * _SEGMENT + 2, d2_max) / 2.0
 
 
-def _certified_segments(kappa, a, d2_max, limit, head=None):
+def _certified_segments(kappa, a, d2_max, limit, taken=None):
     """Count of each row a's leading segments certified above limit.
 
     A segment bound bounds its row up to the segment's end, so any segment
     bound above limit certifies the prefix ending there, whether or not the
-    computed bounds are monotone. Segment 0 is taken for every row in one
-    call (head, when the caller has it), then bisection, one call per step
-    over the rows not yet decided.
+    computed bounds are monotone. One segment is taken for every row in one
+    call (taken, when the caller has it): at kappa <= 1 the last, whose
+    bound is the probe on column d2 = d2_max, so a row above limit there is
+    certified whole; above 1 the first. Each later call covers the rows not
+    yet decided: every segment end still open when they number at most
+    a.size, the cut then being a row's first end not above limit, or else
+    one bisection step.
     """
     n_seg = -(-(d2_max - 2) // _SEGMENT)
-    if head is None:
-        head = _segment_bound(kappa, a, _segment_ends(0, d2_max))
-    above = head > limit
+    known = n_seg - 1 if kappa <= 1.0 else 0
+    if taken is None:
+        taken = _segment_bound(kappa, a, _segment_ends(known, d2_max))
+    above = taken > limit
     # segment lo's bound is above limit (or lo = -1), hi's not (or hi = n_seg)
-    lo = np.where(above, 0, -1)
-    hi = np.where(above, n_seg, 0)
+    lo = np.where(above, known, -1)
+    hi = np.where(above, n_seg, known)
     while (rows := np.flatnonzero(hi - lo > 1)).size:
+        open_ends = hi[rows] - lo[rows] - 1
+        if open_ends.sum() <= a.size:
+            # within one bisection step's budget: every open end in one call
+            starts = np.cumsum(open_ends) - open_ends
+            at = np.repeat(rows, open_ends)
+            seg = lo[at] + 1 + np.arange(at.size) - np.repeat(starts, open_ends)
+            above = _segment_bound(kappa, a[at], _segment_ends(seg, d2_max)) > limit
+            hi[rows] = np.minimum.reduceat(np.where(above, hi[at], seg), starts)
+            lo[rows] = hi[rows] - 1
+            break
         mid = (lo[rows] + hi[rows]) // 2
         above = _segment_bound(kappa, a[rows], _segment_ends(mid, d2_max)) > limit
         lo[rows] = np.where(above, mid, lo[rows])
@@ -320,6 +346,20 @@ def _increment(kappa, a, b, ln_lanczos):
     return dq * _grid_beta_density(_threshold(kappa, a, b), a, b, ln_lanczos)
 
 
+def _gains(kappa, a, b, rows, cols, ln_lanczos):
+    """Each entry (rows, cols)'s smallest increment over its cells, after
+    the budget, in chunks of special._CHUNK entries."""
+    gain = np.empty(rows.size)
+    for i in range(0, rows.size, _CHUNK):
+        a_r, b_lo = a[rows[i : i + _CHUNK]], b[_RUN * cols[i : i + _CHUNK]]
+        inc = np.inf
+        for j in range(_RUN):
+            # cells past d2_max repeat the row's last one
+            inc = np.minimum(inc, _increment(kappa, a_r, np.minimum(b_lo + j / 2.0, b[-1]), ln_lanczos))
+        gain[i : i + _CHUNK] = inc * (1.0 - BETA_DENSITY_REL_ERR) - _INCREMENT_MARGIN
+    return gain
+
+
 def _certify_increment(kappa, a, b, live, d2_max, limit, head):
     """Clear the entries of live, a rows x 4-column mask over rows a, whose
     cells all lie above limit by the increment bound, for kappa > 1.
@@ -330,59 +370,81 @@ def _certify_increment(kappa, a, b, live, d2_max, limit, head):
     the paper's theorem at k' = 1, then the density bound. b_hi is the end
     of the cell's row segment, and the bound is taken after its error
     budget (_INCREMENT_MARGIN and BETA_DENSITY_REL_ERR). The increments come
-    first, in chunks of special._CHUNK entries. head holds each row's P_1 at
-    the end of its first segment, which by the theorem is at least its P_1
-    at every later segment end, so an entry whose bound does not exceed
-    limit with head in place of P_1 cannot be certified. One _segment_bound
-    call per stripe then takes P_1 on the (row, segment) pairs that hold an
-    entry that can.
+    first, stripe by stripe. head holds each row's P_1 at the end of its
+    first segment, which by the theorem is at least its P_1 at every later
+    segment end, so an entry whose bound does not exceed limit with head in
+    place of P_1 cannot be certified. One _segment_bound call then takes
+    P_1 on every (row, segment) pair, of every stripe visited, that holds
+    an entry that can. A rounded sum does not decrease in either term, so
+    where the pair's smallest such increment is certified, all of them are;
+    only the other pairs' hopeful entries have their increments formed
+    again, to be decided one by one.
 
     Far from kappa = 1 the density at q_kappa is far below its mean over
-    [q_1, q_kappa], and the stage certifies nothing. So it takes the
-    stripes with the fewest live entries first and stops after a stripe
-    with live entries in which it certifies none: where it cannot win it
-    spends one small stripe.
+    [q_1, q_kappa], and no entry can be certified. So the stage takes the
+    stripes with the fewest live entries first and stops at the first
+    stripe with live entries none of which can: where it cannot win it
+    spends one small stripe and no P_1 call.
     """
     per_seg = _SEGMENT // _RUN
     ln_lanczos = _ln_lanczos_halves(a.size + d2_max)
+    hope, weakest = _hopeful(kappa, a, b, live, limit, head, ln_lanczos)
+    if hope is None:
+        return
+    pairs = np.nonzero(weakest < np.inf)
+    p1 = np.zeros(weakest.shape)
+    p1[pairs] = _segment_bound(kappa, a[pairs[0]], _segment_ends(pairs[1], d2_max))
+    # pairs whose every hopeful entry is certified; the others' hopeful
+    # entries are decided one by one
+    whole = (p1 + weakest > limit) & (weakest < np.inf)
+    # (row, segment, entry) views, so that no full-size temporary is formed
+    hope_by_pair, live_by_pair = (m.reshape(*whole.shape, per_seg) for m in (hope, live))
+    live_by_pair[whole] &= ~hope_by_pair[whole]
+    hope_by_pair[whole] = False
+    rows, cols = np.nonzero(hope)
+    dead = p1[rows, cols // per_seg] + _gains(kappa, a, b, rows, cols, ln_lanczos) > limit
+    live[rows[dead], cols[dead]] = False
+
+
+def _hopeful(kappa, a, b, live, limit, head, ln_lanczos):
+    """The entries of live that the increment bound can certify with head in
+    place of P_1, and each (row, segment) pair's smallest increment among
+    them (inf where there are none), over the stripes _certify_increment
+    visits; None and None when there are none, as far from kappa = 1,
+    where the stage then forms neither array. A function of its own, so
+    that its stripe arrays are freed before the stage's P_1 call, whose
+    working set peaks at some 7 MiB."""
+    per_seg = _SEGMENT // _RUN
+    hope = weakest = None
     stripes = range(0, a.size, _STRIPE_ROWS)
     for lo in sorted(stripes, key=lambda lo: np.count_nonzero(live[lo : lo + _STRIPE_ROWS])):
-        stripe = live[lo : lo + _STRIPE_ROWS]
-        rows, cols = np.nonzero(stripe)
+        rows, cols = np.nonzero(live[lo : lo + _STRIPE_ROWS])
         if not rows.size:
             continue
-        # each entry's smallest increment over its cells, after the budget
-        gain = np.empty(rows.size)
-        for i in range(0, rows.size, _CHUNK):
-            a_r, b_lo = a[lo + rows[i : i + _CHUNK]], b[_RUN * cols[i : i + _CHUNK]]
-            inc = np.inf
-            for j in range(_RUN):
-                # cells past d2_max repeat the row's last one
-                inc = np.minimum(inc, _increment(kappa, a_r, np.minimum(b_lo + j / 2.0, b[-1]), ln_lanczos))
-            gain[i : i + _CHUNK] = inc * (1.0 - BETA_DENSITY_REL_ERR) - _INCREMENT_MARGIN
-        hope = head[lo + rows] + gain > limit
-        if not hope.any():
-            return
-        rows, cols, gain = rows[hope], cols[hope], gain[hope]
-        # entries run row-major, so each (row, segment) pair's are adjacent
-        new_pair = np.diff(rows * live.shape[1] + cols // per_seg, prepend=-1) != 0
-        first = np.flatnonzero(new_pair)
-        p1 = _segment_bound(kappa, a[lo + rows[first]], _segment_ends(cols[first] // per_seg, d2_max))
-        dead = p1[np.cumsum(new_pair) - 1] + gain > limit
-        stripe[rows[dead], cols[dead]] = False
-        if not dead.any():
-            return
+        rows += lo
+        gain = _gains(kappa, a, b, rows, cols, ln_lanczos)
+        can = head[rows] + gain > limit
+        if not can.any():
+            break
+        if hope is None:
+            hope = np.zeros_like(live)
+            weakest = np.full((live.shape[0], live.shape[1] // per_seg), np.inf)
+        hope[rows[can], cols[can]] = True
+        np.minimum.at(weakest, (rows[can], cols[can] // per_seg), gain[can])
+    return hope, weakest
 
 
-def _live_blocks(kappa, grid, limit):
+def _live_blocks(kappa, grid, limit, column=None):
     """Grid rows x 4-column entries: True where the row's cells in the entry
     lie past its certified segments, the bounds of the 16 x 16 block and of
     the strip or strips holding them are at most limit, and, for kappa > 1,
     the increment bound of some cell in the entry is too.
 
-    The block level and the strip level each take their bounds in one call,
-    only where a live entry remains; the increment stage runs between them,
-    so the strip level skips the entries it certifies. Every bound is a
+    column, the probe on column d2 = d2_max when the caller has it, is read
+    at kappa <= 1, where it is each row's last segment bound. The block
+    level and the strip level each take their bounds in one call, only
+    where a live entry remains; the increment stage runs between them, so
+    the strip level skips the entries it certifies. Every bound is a
     probability, so at limit >= 1 the pass certifies nothing and is skipped.
     """
     a = np.arange(1, grid.d1_max + 1, dtype=np.int64) / 2.0
@@ -390,8 +452,9 @@ def _live_blocks(kappa, grid, limit):
     n_entries = -(-b.size // _RUN)
     if limit >= 1.0:
         return np.ones((a.size, n_entries), dtype=bool)
-    head = _segment_bound(kappa, a, _segment_ends(0, grid.d2_max))
-    segments = _certified_segments(kappa, a, grid.d2_max, limit, head)
+    # one segment bound per row: the last at kappa <= 1, the first above
+    taken = column if kappa <= 1.0 else _segment_bound(kappa, a, _segment_ends(0, grid.d2_max))
+    segments = _certified_segments(kappa, a, grid.d2_max, limit, taken)
     per_seg = _SEGMENT // _RUN
     # padded to whole blocks and whole segments; pad entries stay dead
     n_cols = -(-b.size // _SEGMENT) * per_seg
@@ -401,7 +464,7 @@ def _live_blocks(kappa, grid, limit):
     live[:, n_entries:] = False
     _bound_blocks(kappa, a, b, live, limit)
     if kappa > 1.0:
-        _certify_increment(kappa, a, b, live, grid.d2_max, limit, head)
+        _certify_increment(kappa, a, b, live, grid.d2_max, limit, taken)
     _bound_strips(kappa, a, b, live, limit)
     return live[: a.size, :n_entries]
 
@@ -423,27 +486,30 @@ def _scan_stripe(args):
 
 
 def _seed(kappa, grid):
-    """(value, d1, d2) of the smallest cell on row d1 = 1 and column d2 = d2_max."""
+    """(value, d1, d2) of the smallest cell on row d1 = 1 and column
+    d2 = d2_max, then the column's values, d1 ascending."""
     d1s = np.arange(1, grid.d1_max + 1, dtype=np.int64)
     d2s = np.arange(3, grid.d2_max + 1, dtype=np.int64)
     a = np.concatenate([np.ones_like(d2s), d1s]) / 2.0
     b = np.concatenate([d2s, np.full_like(d1s, grid.d2_max)]) / 2.0
-    return _min_cell(kappa, a, b)
+    vals = _probe(kappa, a, b)
+    return (*_first_min(vals, a, b), vals[d2s.size :])
 
 
 def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, workers: Optional[int] = None) -> ProbeResult:
     """Exhaustive minimum of P(X <= kappa E[X]) over the capped integer grid.
 
     The smallest cell of row d1 = 1 and column d2 = d2_max seeds an
-    incumbent. One pass in the calling process marks live the cells whose
-    block and strip bounds, row-segment bound and, for kappa > 1,
-    increment bound (see the module docstring) are all at most the
-    incumbent plus twice reg_inc_beta's absolute error: once for the bound,
-    once for a cell. The increment bound carries its own error budget on
-    top. A skipped cell is thus strictly above the incumbent, and the
-    result is the exhaustive scan's, bit for bit. Below, at and just above
-    kappa = 1 that rests on the paper's b-monotonicity theorem, which the
-    segment and increment bounds use.
+    incumbent; at kappa <= 1 the column is each row's last segment bound
+    too, and the pass reads it. One pass in the calling process marks live
+    the cells whose block and strip bounds, row-segment bound and, for
+    kappa > 1, increment bound (see the module docstring) are all at most
+    the incumbent plus twice reg_inc_beta's absolute error: once for the
+    bound, once for a cell. The increment bound carries its own error
+    budget on top. A skipped cell is thus strictly above the incumbent, and
+    the result is the exhaustive scan's, bit for bit. Below, at and just
+    above kappa = 1 that rests on the paper's b-monotonicity theorem, which
+    the segment and increment bounds use.
 
     The live cells are evaluated in 128-row stripes, in a pool of at most
     workers processes, one per stripe, when workers > 1 and two or more
@@ -456,8 +522,8 @@ def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, workers: Optional[int] = 
     """
     k = _check_kappa(kappa, grid.d1_max / 2.0)
     with _naming_cell(k):
-        seed = _seed(k, grid)
-        live = _live_blocks(k, grid, seed[0] + _PRUNE_MARGIN)
+        *seed, column = _seed(k, grid)
+        live = _live_blocks(k, grid, seed[0] + _PRUNE_MARGIN, column)
         # the seed has evaluated row d1 = 1, and its first-occurrence argmin
         # is the lexicographic minimum of those cells
         live[0] = False
@@ -479,7 +545,7 @@ def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, workers: Optional[int] = 
 
     # lexicographic (value, d1, d2) minimum; the seed is a grid cell too,
     # and stands alone when no stripe has a live cell (such a stripe is no job)
-    best_val, best_d1, best_d2 = min(partials + [seed])
+    best_val, best_d1, best_d2 = min(partials + [tuple(seed)])
     return ProbeResult(kappa=k, grid_min=best_val, argmin_d1=best_d1, argmin_d2=best_d2, grid=grid)
 
 

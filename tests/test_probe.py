@@ -315,6 +315,86 @@ class TestGridInfimum:
         grid_infimum(kappa, GridSpec(300, 400))
         assert bool(calls) == runs
 
+    @pytest.mark.parametrize(
+        "kappa, in_pass, in_stage",
+        [(0.9, 1, 0), (1.0, 1, 0), (1.00005, None, 1), (1.001, None, 1), (1.05, None, 1), (1.5, 1, 0)],
+    )
+    def test_pruning_pass_counts_its_segment_calls(self, monkeypatch, kappa, in_pass, in_stage):
+        # a count, so deterministic, at full caps: each call costs some 3-7 ms
+        # of numpy overhead whatever its size. At kappa <= 1 the seed's column
+        # certifies all rows but a few whole and one call takes every open
+        # end of those (it took 6); the increment stage takes P_1 for every
+        # stripe it visits in one call (it took 7, 15 and 16); at 1.5 the pass
+        # takes only the first segments and the stage spends no call
+        calls, stage_calls = [], []
+        segment_bound, certify_increment = probe._segment_bound, probe._certify_increment
+
+        def counting(*args):
+            calls.append(np.size(args[1]))
+            return segment_bound(*args)
+
+        def stage(*args):
+            before = len(calls)
+            certify_increment(*args)
+            stage_calls.append(len(calls) - before)
+
+        monkeypatch.setattr(probe, "_segment_bound", counting)
+        monkeypatch.setattr(probe, "_certify_increment", stage)
+        grid_infimum(kappa, GridSpec(1999, 1999))
+        if in_pass is not None:
+            assert len(calls) == in_pass
+        assert sum(stage_calls) == in_stage
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("grid", [GridSpec(1999, 1999), GridSpec(300, 400), GridSpec(77, 131)])
+    def test_seed_column_is_the_last_segment_bound(self, kappa, grid):
+        # what the pass rests on at kappa <= 1: the seed's column d2 = d2_max
+        # is each row's last segment bound, hex for hex
+        a = np.arange(1, grid.d1_max + 1) / 2.0
+        n_seg = -(-(grid.d2_max - 2) // probe._SEGMENT)
+        last = probe._segment_bound(kappa, a, probe._segment_ends(n_seg - 1, grid.d2_max))
+        column = probe._seed(kappa, grid)[3]
+        assert list(map(float.hex, column.tolist())) == list(map(float.hex, last.tolist()))
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.9, 1.0, 1.00005, 1.05, 1.5])
+    def test_seed_column_moves_no_live_entry(self, kappa):
+        # the column saves calls at kappa <= 1 and is not read above 1,
+        # where it bounds no segment; the mask is the one the pass forms
+        # without it
+        grid = GridSpec(300, 400)
+        *seed, column = probe._seed(kappa, grid)
+        limit = seed[0] + probe._PRUNE_MARGIN
+        with_column = probe._live_blocks(kappa, grid, limit, column)
+        assert (with_column == probe._live_blocks(kappa, grid, limit)).all()
+
+    @pytest.mark.parametrize("kappa", [1.25, 1.35, 1.45])
+    def test_batched_increment_search_matches_full_grid(self, kappa):
+        # at 1.25 and 1.35 the stage's one P_1 call mixes pairs it certifies
+        # whole with pairs decided entry by entry, from every stripe; at 1.45
+        # it stops at its first stripe. Held to the full-grid and per-stripe
+        # oracles (test_pruned_search_matches_full_grid covers kappa = 0.9)
+        self.test_pruned_search_matches_full_grid(kappa)
+
+    @pytest.mark.parametrize(
+        "kappa, share",
+        [(1.0, 0.01), (1.00005, 0.01), (1.001, 0.005), (1.005, 0.05), (1.5, 0.06), (3.005, 0.015), (16.0, 0.004)],
+    )
+    def test_stripes_evaluate_under_their_share(self, monkeypatch, kappa, share):
+        # the counted-work guards above at their tightest shares, on the
+        # stripes' cells alone: the seed evaluates its row and column
+        # through the probe, not _min_cell, so only the stripes are counted
+        grid = GridSpec(300, 400)
+        evaluated = []
+        min_cell = probe._min_cell
+
+        def counting(kappa, a, b):
+            evaluated.append(a.size)
+            return min_cell(kappa, a, b)
+
+        monkeypatch.setattr(probe, "_min_cell", counting)
+        grid_infimum(kappa, grid)
+        assert sum(evaluated) < share * grid.d1_max * (grid.d2_max - 2)
+
     @settings(max_examples=200, deadline=None)
     @given(
         kappa=st.one_of(st.sampled_from([k for k in PROBE_KAPPAS if k > 1.0]), st.floats(1.0, 1.1, exclude_min=True),

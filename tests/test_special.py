@@ -280,6 +280,19 @@ class TestRegIncBeta:
                 ref = mpmath.betainc(ai, bi, 0, xi, regularized=True)
                 assert abs(float(ref - gi)) <= REG_INC_BETA_ABS_ERR, (xi, ai, bi)
 
+    @pytest.mark.parametrize("a, err", [(1e4, 1.4e-12), (5e4, 3.8e-12), (1e5, 1.8e-11)])
+    def test_error_past_documented_range(self, a, err):
+        # past a, b = 2000 the error grows with the shapes, as the docstring
+        # states, at I_{1/2}(a, a); the reference sums DLMF 8.17.8's
+        # hypergeometric series (positive terms), since mpmath.betainc does
+        # not converge here
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            am, x = mpmath.mpf(a), mpmath.mpf(0.5)
+            series = mpmath.hyp2f1(2 * am, 1, am + 1, x, maxterms=10**6)
+            ref = x**am * (1 - x) ** am / (am * mpmath.beta(am, am)) * series
+            assert abs(float(ref - reg_inc_beta(0.5, a, a))) <= err
+
 
 class TestRegLowerGamma:
     def test_exponential_special_case(self):
