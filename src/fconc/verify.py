@@ -4,7 +4,7 @@ The oracle evaluates the defining beta integral by tanh-sinh (double
 exponential) quadrature, which absorbs the t^(a-1) endpoint singularity at
 a = 1/2 without any change of variable, and never touches the continued
 fraction it is used to check. ``quad_inc_beta`` integrates all its
-arguments at once, as array passes over chunks of 64 elements, with its own
+arguments at once, as array passes over chunks of 128 elements, with its own
 refinement loop: it shares no code with the continued-fraction path, not
 even its convergence loop. The node tables of each refinement level are
 built once per process and shared read-only. A chunk's complete integrals
@@ -18,7 +18,14 @@ identity and monotonicity checks that back the library's claims:
 * strict increase of the probe in kappa.
 
 Checks are deterministic: random samples come from a fixed seed that is
-recorded in the report.
+recorded in the report. Each check is a planner, which validates its
+arguments and forms the continued fractions it needs, and a finisher, which
+does the rest on their values. ``run_suite`` runs the planners in suite
+order, takes every continued fraction in one ``reg_inc_beta`` call, then
+runs the finishers in suite order. A ConvergenceError is the one the checks
+called one after another would raise, except that a failing ``limit_b``
+(run by ``check_limit``'s finisher) now comes after a failing continued
+fraction of that check or a later one.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fdist import FParams, _check_kappa, _probe
+from .fdist import FParams, _check_kappa, _threshold
 from .probe import limit_b
 from .special import ConvergenceError, _finish, _prepare, ln_beta, reg_inc_beta
 
@@ -65,8 +72,12 @@ _MAX_LEVEL = 12
 _LOG_TOLERANCE = 2.5e-11
 # Elements per chunk of the oracle, whose partial and complete integrals are
 # one kernel call each. Fewer rows pay numpy's per-call overhead more often;
-# more rows, or a whole sample at once, raise peak memory.
-_ROWS = 64
+# more rows, or a whole sample at once, raise peak memory. On a full suite's
+# 500-element sample (2-core VM, numpy 2.4.6) 128 rows take 14.3 ms and a
+# tracemalloc peak of 0.87 MiB, 64 rows 16.1 ms and 0.52 MiB. 256 rows saved
+# 0.7 ms more, but the benchmark's verify-full then read a peak RSS 4.8-6.3%
+# above that of 64 rows and eight continued-fraction calls, 128 rows 4.3%.
+_ROWS = 128
 
 
 class QuadratureError(ConvergenceError):
@@ -284,12 +295,19 @@ class VerificationReport:
         return None
 
 
-def _sample_columns(sample):
+def _require(check, rule, values, ok):
+    """A ValueError naming the check, its rule and the first value that breaks it."""
+    if not ok.all():
+        raise ValueError(f"check {check}: {rule}, got {float(values[~ok][0])!r}")
+
+
+def _sample_columns(sample, check):
     arr = np.asarray(sample, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("sample must be an (n, 3) array of (x, a, b) triples")
     if arr.shape[0] == 0:
         raise ValueError("sample must be nonempty")
+    _require(check, "sample values must be finite", arr, np.isfinite(arr))
     return arr[:, 0], arr[:, 1], arr[:, 2]
 
 
@@ -300,17 +318,53 @@ def _nonempty(name, values):
     return arr
 
 
-def check_recurrence(sample, tol: float = 1e-10) -> CheckResult:
+def _evaluate(checks):
+    """The results of check generators, with one reg_inc_beta call for all.
+
+    The planners run in order; their requests, broadcast and flattened, are
+    joined in that order; the finishers run in order on their shares. Each
+    element is computed on its own, so a share has the bits of a call of its
+    own, and a ConvergenceError names the first check's failing element.
+    """
+    requests = [[v.ravel() for v in np.broadcast_arrays(*next(check))] for check in checks]
+    vals = reg_inc_beta(*(np.concatenate(column) for column in zip(*requests)))
+    ends = np.cumsum([x.size for x, _, _ in requests])
+    results = []
+    for check, share in zip(checks, np.split(vals, ends[:-1])):
+        try:
+            check.send(share)
+        except StopIteration as done:
+            results.append(done.value)
+    return results
+
+
+def _one_call(plan):
+    """The public check of the check generator ``plan``, named without its "_".
+
+    Before its yield (the planner) ``plan`` validates the arguments and
+    yields the (x, a, b) of every continued fraction the check needs; after
+    it (the finisher) it returns the CheckResult. run_suite runs the
+    generators themselves.
+    """
+    @functools.wraps(plan)
+    def check(*args, **kwargs):
+        return _evaluate([plan(*args, **kwargs)])[0]
+
+    check.__name__ = check.__qualname__ = plan.__name__.removeprefix("_")
+    return check
+
+
+def _check_recurrence(sample, tol: float = 1e-10) -> CheckResult:
     """Residual of I_x(a, b+1) - I_x(a, b) - x^a (1-x)^b / (b B(a, b)).
 
     The correction term is formed in the log domain; x = 0 contributes a
-    zero residual exactly. Both sides are one continued-fraction call, b's
-    elements first: a value does not depend on how a call is split.
+    zero residual exactly. Both sides are one continued-fraction request,
+    b's elements first.
     """
-    x, a, b = _sample_columns(sample)
+    x, a, b = _sample_columns(sample, "recurrence-identity")
     if (x < 0.0).any() or (x >= 1.0).any() or (a <= 0.0).any() or (b <= 0.0).any():
         raise ValueError("recurrence check requires 0 <= x < 1, a > 0, b > 0")
-    both = reg_inc_beta(np.tile(x, 2), np.tile(a, 2), np.concatenate([b, b + 1.0]))
+    both = yield np.tile(x, 2), np.tile(a, 2), np.concatenate([b, b + 1.0])
     i_b, i_b1 = both[:x.size], both[x.size:]
     with np.errstate(divide="ignore"):
         corr = np.exp(a * np.log(x) + b * np.log1p(-x) - np.log(b) - ln_beta(a, b))
@@ -326,7 +380,7 @@ def check_recurrence(sample, tol: float = 1e-10) -> CheckResult:
     )
 
 
-def check_monotone_b(kappa, d1_list: Sequence[int], d2_range, tol_strict: float = 1e-14) -> CheckResult:
+def _check_monotone_b(kappa, d1_list: Sequence[int], d2_range, tol_strict: float = 1e-14) -> CheckResult:
     """Strict decrease of the probe along consecutive d2 for fixed d1.
 
     Proven for kappa <= 1; for kappa > 1 the same numbers are collected but
@@ -338,15 +392,16 @@ def check_monotone_b(kappa, d1_list: Sequence[int], d2_range, tol_strict: float 
     theorem, and this check tests it on its own sample.
     """
     d1s = _nonempty("d1_list", d1_list)
-    bad = d1s[~(np.isfinite(d1s) & (np.floor(d1s) == d1s) & (d1s >= 1.0))]
-    if bad.size:
-        raise ValueError(f"d1_list must hold integers >= 1, got {float(bad[0])!r}")
+    is_degree = np.isfinite(d1s) & (np.floor(d1s) == d1s) & (d1s >= 1.0)
+    _require("monotone-in-b", "d1_list must hold integers >= 1", d1s, is_degree)
     kappa = _check_kappa(kappa, d1s / 2.0)
     d2s = np.asarray(list(d2_range), dtype=np.int64)
     if d2s.size < 2 or (np.diff(d2s) != 1).any() or d2s[0] < 3:
         raise ValueError("d2_range must be consecutive integers starting at >= 3")
     observational = kappa > 1.0
-    diffs = np.diff(_probe(kappa, d1s[:, None] / 2.0, d2s / 2.0), axis=1)
+    a, b = d1s[:, None] / 2.0, d2s / 2.0
+    vals = yield _threshold(kappa, a, b), a, b
+    diffs = np.diff(vals.reshape(d1s.size, d2s.size), axis=1)
     worst = float(diffs.max())
     bad = np.flatnonzero(diffs.max(axis=1) >= -tol_strict)
     if observational:
@@ -366,22 +421,27 @@ def check_monotone_b(kappa, d1_list: Sequence[int], d2_range, tol_strict: float 
     )
 
 
-def check_limit(a_list, kappa_list, b_ladder, final_tol: float = 1e-3) -> CheckResult:
+def _check_limit(a_list, kappa_list, b_ladder, final_tol: float = 1e-3) -> CheckResult:
     """Convergence of the probe to the lower-gamma limit along a b ladder.
 
     For each (a, kappa) the residual |I_{q(a,b,kappa)}(a,b) - P(a, kappa a)|
     must shrink at every ladder step and end at or below final_tol. The
     reported residual is the largest end-of-ladder residual; a violation
     names the first (a, kappa), a-major, at its first non-shrinking step.
+    Every a must be positive and every rung finite and above 1.
     """
     a = _nonempty("a_list", a_list)
+    _require("limit-convergence", "a_list must hold values > 0", a, a > 0.0)
     kappas = [_check_kappa(k, a) for k in _nonempty("kappa_list", kappa_list)]
     ladder = np.asarray(list(b_ladder), dtype=np.float64)
+    rungs_ok = np.isfinite(ladder) & (ladder > 1.0)
+    _require("limit-convergence", "b ladder rungs must be finite and > 1", ladder, rungs_ok)
     if ladder.size < 2 or (np.diff(ladder) <= 0.0).any():
         raise ValueError("b ladder must be increasing with at least two rungs")
+    a_col = a[:, None, None]
+    vals = yield _threshold(np.asarray(kappas)[:, None], a_col, ladder), a_col, ladder
     lim = np.stack([limit_b(a, k) for k in kappas], axis=1)
-    vals = _probe(np.asarray(kappas)[:, None], a[:, None, None], ladder)
-    resid = np.abs(vals - lim[:, :, None])
+    resid = np.abs(vals.reshape(lim.shape + ladder.shape) - lim[:, :, None])
     grows = np.diff(resid, axis=2) >= 0.0
     worst_final = float(resid[:, :, -1].max())
     bad = np.argwhere(grows.any(axis=2))
@@ -402,7 +462,7 @@ def check_limit(a_list, kappa_list, b_ladder, final_tol: float = 1e-3) -> CheckR
     )
 
 
-def check_kappa_monotone(p_sample, kappa_ladder) -> CheckResult:
+def _check_kappa_monotone(p_sample, kappa_ladder) -> CheckResult:
     """Strict increase of the probe along an ascending kappa ladder.
 
     Residual is the smallest observed increment (negated), so any value
@@ -419,11 +479,14 @@ def check_kappa_monotone(p_sample, kappa_ladder) -> CheckResult:
     if any(k2 <= k1 for k1, k2 in zip(ladder, ladder[1:])):
         raise ValueError("kappa ladder must be strictly increasing")
     if len(ladder) == 1:
+        yield (np.empty(0),) * 3
         return CheckResult(
             name="monotone-in-kappa", samples=0, max_residual=0.0, passed=True,
             detail="singleton ladder: vacuous pass",
         )
-    incs = np.diff(_probe(np.asarray(ladder), shapes[:, :1], shapes[:, 1:]), axis=1)
+    a, b = shapes[:, :1], shapes[:, 1:]
+    vals = yield _threshold(np.asarray(ladder), a, b), a, b
+    incs = np.diff(vals.reshape(len(params), len(ladder)), axis=1)
     min_inc = float(incs.min())
     bad = np.argwhere(incs <= 0.0)
     if bad.size == 0:
@@ -442,10 +505,10 @@ def check_kappa_monotone(p_sample, kappa_ladder) -> CheckResult:
     )
 
 
-def check_oracle_agreement(sample, tol: float = 1e-9) -> CheckResult:
+def _check_oracle_agreement(sample, tol: float = 1e-9) -> CheckResult:
     """|continued fraction - tanh-sinh quadrature| on (x, a, b) triples."""
-    x, a, b = _sample_columns(sample)
-    cf_vals = reg_inc_beta(x, a, b)
+    x, a, b = _sample_columns(sample, "oracle-agreement")
+    cf_vals = yield x, a, b
     # np.max keeps a NaN residual, which CheckResult then rejects
     worst = float(np.max(np.abs(quad_inc_beta(x, a, b) - cf_vals)))
     return CheckResult(
@@ -455,6 +518,13 @@ def check_oracle_agreement(sample, tol: float = 1e-9) -> CheckResult:
         passed=worst <= tol,
         detail=f"continued fraction vs quadrature within {tol:g}",
     )
+
+
+check_recurrence = _one_call(_check_recurrence)
+check_monotone_b = _one_call(_check_monotone_b)
+check_limit = _one_call(_check_limit)
+check_kappa_monotone = _one_call(_check_kappa_monotone)
+check_oracle_agreement = _one_call(_check_oracle_agreement)
 
 
 def _triple_sample(rng, n, hi):
@@ -470,7 +540,14 @@ def run_suite(profile: str = "quick", seed: int = DEFAULT_SEED) -> VerificationR
 
     quick samples ~100 points per randomized check, full ~1000. All
     sampling is driven by the seed recorded in the report, so reports are
-    reproducible bit-for-bit.
+    reproducible bit-for-bit, each result the one its public check gives.
+
+    The planners run in suite order (so a ValueError comes first), one
+    reg_inc_beta call takes all their continued fractions, and the
+    finishers run in suite order. A ConvergenceError is the one the checks
+    called in order raise, except that one from limit_b, in check_limit's
+    finisher, now comes after one from any continued fraction. The
+    oracle's QuadratureError comes last, from its finisher.
     """
     if profile not in ("quick", "full"):
         raise ValueError(f"profile must be 'quick' or 'full', got {profile!r}")
@@ -481,16 +558,15 @@ def run_suite(profile: str = "quick", seed: int = DEFAULT_SEED) -> VerificationR
     n_pairs = 10 if quick else 50
 
     rng = np.random.default_rng(seed)
-    checks = [check_recurrence(_triple_sample(rng, n_rec, 500.0))]
+    checks = [_check_recurrence(_triple_sample(rng, n_rec, 500.0))]
     for kappa in (0.25, 0.5, 0.9, 1.0):
-        checks.append(check_monotone_b(kappa, (1, 2, 3, 10, 100), range(3, d2_hi + 1)))
-    checks.append(check_limit((0.5, 1.0, 5.0), (0.5, 1.0), [2.0 ** j for j in range(1, 14)]))
+        checks.append(_check_monotone_b(kappa, (1, 2, 3, 10, 100), range(3, d2_hi + 1)))
+    checks.append(_check_limit((0.5, 1.0, 5.0), (0.5, 1.0), [2.0 ** j for j in range(1, 14)]))
     # keep d1 and kappa moderate: once the probe saturates to 1.0 in double
     # precision, strict increase carries no information
     d1s = rng.integers(1, 13, n_pairs)
     d2s = rng.integers(3, 301, n_pairs)
     pairs = [(int(d1), int(d2)) for d1, d2 in zip(d1s, d2s)] + [(1, 3), (2, 1999), (1, 4)]
-    checks.append(check_kappa_monotone(pairs, (0.5, 1.0, 1.5, 2.0, 4.0)))
-    checks.append(check_oracle_agreement(_triple_sample(rng, n_oracle, 2000.0)))
-
-    return VerificationReport(checks=tuple(checks), seed=seed, profile=profile)
+    checks.append(_check_kappa_monotone(pairs, (0.5, 1.0, 1.5, 2.0, 4.0)))
+    checks.append(_check_oracle_agreement(_triple_sample(rng, n_oracle, 2000.0)))
+    return VerificationReport(checks=tuple(_evaluate(checks)), seed=seed, profile=profile)

@@ -11,6 +11,7 @@ import pytest
 import fconc.verify
 from fconc import (
     CheckResult,
+    ConvergenceError,
     FParams,
     QuadratureError,
     check_kappa_monotone,
@@ -21,6 +22,7 @@ from fconc import (
     reg_inc_beta,
     run_suite,
     quad_inc_beta,
+    VerificationReport,
 )
 from fconc.fdist import _probe
 from fconc.probe import limit_b
@@ -136,13 +138,13 @@ class TestQuadIncBeta:
                 if x < fconc.verify._X_TINY and ref >= sys.float_info.min:
                     assert abs(float((g - ref) / ref)) <= 1e-12, x
 
-    @pytest.mark.parametrize("first, second", [(0, 1), (63, 64), (5, 100)])
+    @pytest.mark.parametrize("first, second", [(0, 1), (fconc.verify._ROWS - 1, fconc.verify._ROWS), (5, 100)])
     @pytest.mark.parametrize("complete_first", [True, False])
     def test_failure_order_is_the_scalar_loop_order(self, tight_oracle, first, second, complete_first):
         # at this cap (0.001, 2, 1500) fails only its complete integral and
         # (0.5, 2, 1500) its partial one; a scalar loop meets element i's
         # partial integral, then its complete one, then element i + 1's.
-        # (63, 64) and (5, 100) put the two in different 64-element chunks.
+        # (_ROWS - 1, _ROWS) puts the two in different chunks.
         complete_fails, partial_fails = (0.001, 2.0, 1500.0), (0.5, 2.0, 1500.0)
         sample = np.tile((0.3, 2.0, 3.0), (second + 1, 1))
         sample[first], sample[second] = (
@@ -310,6 +312,10 @@ class TestCheckKappaMonotone:
         assert r.max_residual == 0.0 and math.copysign(1.0, r.max_residual) == -1.0
 
 
+_BAD_RUNG = "limit-convergence: b ladder rungs must be finite and > 1, got "
+_BAD_SAMPLE = "sample values must be finite, got "
+
+
 class TestCheckInputs:
     @pytest.mark.parametrize(
         "check, args, name",
@@ -352,6 +358,33 @@ class TestCheckInputs:
         # checked (1, 3) in place of (1.9, 3.7)
         with pytest.raises(ValueError, match=re.escape(message)):
             check(*args)
+
+    @pytest.mark.parametrize(
+        "check, args, message",
+        [
+            (check_limit, ((0.5, 1.0), (1.0,), [0.5, 2.0]), _BAD_RUNG + "0.5"),
+            (check_limit, ((1.0,), (1.0,), [2.0, math.nan, 4.0]), _BAD_RUNG + "nan"),
+            (check_limit, ((1.0,), (1.0,), [2.0, math.inf]), _BAD_RUNG + "inf"),
+            (check_limit, ((1.0,), (1.0,), [1.0, 2.0]), _BAD_RUNG + "1.0"),
+            (check_limit, ((1.0, -1.0), (1.0,), [2.0, 4.0]), "limit-convergence: a_list must hold values > 0, got -1.0"),
+            (check_recurrence, ([(0.5, 2.0, 3.0), (math.nan, 2.0, 3.0)],), "recurrence-identity: " + _BAD_SAMPLE + "nan"),
+            (check_recurrence, ([(0.5, math.inf, 3.0)],), "recurrence-identity: " + _BAD_SAMPLE + "inf"),
+            (check_oracle_agreement, ([(0.5, 2.0, math.nan)],), "oracle-agreement: " + _BAD_SAMPLE + "nan"),
+        ],
+    )
+    def test_bad_values_named_by_their_planner(self, monkeypatch, check, args, message):
+        # a rung of 0.5 divided by zero in fdist._threshold, and a NaN rung or
+        # sample value reached reg_inc_beta, whose message names no check; an
+        # a of -1 was named by limit_b, which now runs after the call. Each
+        # now fails in its check's planner, before the call.
+        def unreachable(*args):
+            raise AssertionError("reg_inc_beta reached")
+
+        monkeypatch.setattr(fconc.verify, "reg_inc_beta", unreachable)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"check {message}")):
+                check(*args)
 
 
 def _monotone_b_loop(kappa, d1_list, d2_range, tol_strict=1e-14):
@@ -430,6 +463,28 @@ def _kappa_monotone_loop(p_sample, kappa_ladder):
     )
 
 
+SUITE_CHECKS = (
+    "check_recurrence", "check_monotone_b", "check_limit", "check_kappa_monotone", "check_oracle_agreement"
+)
+
+
+def _record_suite(monkeypatch, names, profile, seed):
+    """run_suite(profile, seed)'s report, and (name, args, kwargs, result) for
+    each call of a check in names, in suite order, recorded at the check
+    generator (the check's name with a leading "_") that run_suite runs."""
+    calls = []
+    with monkeypatch.context() as m:
+        for name in names:
+            def record(*args, _plan=getattr(fconc.verify, "_" + name), _name=name, **kwargs):
+                result = yield from _plan(*args, **kwargs)
+                calls.append((_name, args, kwargs, result))
+                return result
+
+            m.setattr(fconc.verify, "_" + name, record)
+        report = run_suite(profile, seed=seed)
+    return report, calls
+
+
 @pytest.mark.parametrize("seed", [1729, 7])
 def test_checks_equal_per_pair_loops_on_full_suite(monkeypatch, seed):
     # the array checks must give the per-pair loops' reports bit for bit on
@@ -439,15 +494,7 @@ def test_checks_equal_per_pair_loops_on_full_suite(monkeypatch, seed):
         "check_limit": _limit_loop,
         "check_kappa_monotone": _kappa_monotone_loop,
     }
-    calls = []
-    for name in references:
-        def record(*args, _check=getattr(fconc.verify, name), _name=name, **kwargs):
-            result = _check(*args, **kwargs)
-            calls.append((_name, args, kwargs, result))
-            return result
-
-        monkeypatch.setattr(fconc.verify, name, record)
-    run_suite("full", seed=seed)
+    _, calls = _record_suite(monkeypatch, references, "full", seed)
     assert [c[0] for c in calls].count("check_monotone_b") == 4
     assert {c[0] for c in calls} == set(references)
     for name, args, kwargs, result in calls:
@@ -525,16 +572,8 @@ def test_oracle_equals_per_sample_loop_on_full_suite(monkeypatch, seed):
     # every batched oracle value, and the report, bit for bit on the sample
     # the full suite draws; at seeds 19 and 43 numpy's vector log rounds one
     # integral differently from math.log on AVX-512 machines
-    calls = []
-
-    def record(sample, *args, **kwargs):
-        result = check_oracle_agreement(sample, *args, **kwargs)
-        calls.append((sample, args, kwargs, result))
-        return result
-
-    monkeypatch.setattr(fconc.verify, "check_oracle_agreement", record)
-    run_suite("full", seed=seed)
-    [(sample, args, kwargs, result)] = calls
+    _, calls = _record_suite(monkeypatch, ["check_oracle_agreement"], "full", seed)
+    [(_, (sample, *args), kwargs, result)] = calls
     x, a, b = np.asarray(sample).T
     values = quad_inc_beta(x, a, b)
     refs = [_quad_ref(*row) for row in zip(x.tolist(), a.tolist(), b.tolist())]
@@ -544,6 +583,81 @@ def test_oracle_equals_per_sample_loop_on_full_suite(monkeypatch, seed):
     assert result.max_residual.hex() == ref.max_residual.hex()
 
 
+@pytest.mark.parametrize("profile, seed", [("full", 1729), ("full", 0), ("quick", 1729)])
+def test_suite_makes_one_continued_fraction_call(monkeypatch, profile, seed):
+    # every continued fraction of a suite in one reg_inc_beta call (there were
+    # 8), fdist's name counted too so that a stray _probe call shows, and two
+    # oracle kernel calls per _ROWS-element chunk of the oracle sample
+    counts = {"reg_inc_beta": 0, "_ts_log_integrals": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(fconc.verify, "reg_inc_beta", counted("reg_inc_beta", reg_inc_beta))
+    monkeypatch.setattr(fconc.fdist, "reg_inc_beta", counted("reg_inc_beta", reg_inc_beta))
+    kernel = counted("_ts_log_integrals", fconc.verify._ts_log_integrals)
+    monkeypatch.setattr(fconc.verify, "_ts_log_integrals", kernel)
+    run_suite(profile, seed=seed)
+    n_oracle = 500 if profile == "full" else 40
+    assert counts == {"reg_inc_beta": 1, "_ts_log_integrals": 2 * math.ceil(n_oracle / fconc.verify._ROWS)}
+
+
+@pytest.mark.parametrize("profile", ["quick", "full"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 1729])
+def test_suite_results_equal_each_check_called_alone(monkeypatch, profile, seed):
+    # the shared call gives each check the bits its own call gives
+    report, calls = _record_suite(monkeypatch, SUITE_CHECKS, profile, seed)
+    assert [result for *_, result in calls] == list(report.checks)
+    for name, args, kwargs, result in calls:
+        alone = getattr(fconc.verify, name)(*args, **kwargs)
+        assert alone == result, name
+        assert alone.max_residual.hex() == result.max_residual.hex(), name
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ConvergenceError as err:
+        return err
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 1729])
+def test_suite_fails_as_its_checks_called_in_order(monkeypatch, seed):
+    # at every continued-fraction cap from 10 to 45 the full suite succeeds
+    # or fails as its checks called one after another in suite order do:
+    # the same error, str, iterations and arguments. The recurrence needs up
+    # to 27-32 steps at these seeds, the monotone and limit checks 11-23,
+    # limit_b's lower-gamma series 28, the kappa check 34-36 and the oracle
+    # check 30-44. The one documented exception: limit_b runs in its
+    # finisher, after the call, so when it and a later continued fraction
+    # both fail, the continued fraction's error comes first. That happens
+    # at seed 1 and cap 27 only, where the recurrence converges.
+    _, calls = _record_suite(monkeypatch, SUITE_CHECKS, "full", seed)
+
+    def in_order(skip=None):
+        return [getattr(fconc.verify, name)(*args, **kwargs) for name, args, kwargs, _ in calls if name != skip]
+
+    limit_b_first = []
+    for cap in range(10, 46):
+        monkeypatch.setattr(fconc.special, "_CF_MAX_ITER", cap)
+        want, got = _outcome(in_order), _outcome(lambda: run_suite("full", seed=seed))
+        if isinstance(want, list):
+            assert isinstance(got, VerificationReport) and list(got.checks) == want, cap
+            continue
+        if len(want.args_at_failure) == 2:  # a lower-gamma (a, x), from limit_b
+            limit_b_first.append(cap)
+            want = _outcome(lambda: in_order(skip="check_limit"))
+        assert isinstance(got, ConvergenceError), cap
+        assert (type(got), str(got), got.iterations, got.args_at_failure) == (
+            type(want), str(want), want.iterations, want.args_at_failure
+        ), cap
+    assert limit_b_first == ([27] if seed == 1 else [])
+
+
 class TestOracleAgreement:
     def test_sampled_agreement(self):
         r = check_oracle_agreement(seeded_triples(5, 60, 0.5, 2000.0))
@@ -551,11 +665,12 @@ class TestOracleAgreement:
         assert r.max_residual <= 1e-9
 
     def test_failure_names_first_failing_integral(self, tight_oracle):
-        # 36 converging samples fill the first 64-row chunk and spill into the
-        # second; then one sample fails on its complete integral and the next
-        # on its partial one. The per-sample loop fails on the former first.
+        # _ROWS + 4 converging samples fill the first _ROWS-row chunk and
+        # spill into the second; then one sample fails on its complete
+        # integral and the next on its partial one. The per-sample loop fails
+        # on the former first.
         s = seeded_triples(5, 60, 0.5, 2000.0)
-        sample = np.concatenate([np.tile(s[1:5], (9, 1)), s[[5, 0]]])
+        sample = np.concatenate([np.tile(s[1:5], (fconc.verify._ROWS // 4 + 1, 1)), s[[5, 0]]])
         with pytest.raises(QuadratureError) as ref:
             _oracle_loop(sample)
         with pytest.raises(QuadratureError) as err:
