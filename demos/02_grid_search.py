@@ -10,7 +10,11 @@ its first d2, columns elsewhere. Near kappa = 1, where block bounds are too
 loose, the scan still prunes: it bounds a 64-cell run of a row by the probe
 at min(kappa, 1) in the run's last cell. That rests on the paper's theorem
 that the probe strictly decreases in d2 for kappa <= 1, which `fconc verify`
-(check_monotone_b) tests on its own sample.
+(check_monotone_b) tests on its own sample. Just above 1, as in the
+kappa = 1.001 row below, that run bound lacks the step from P_1 to P_kappa,
+and an increment bound adds it back: the Beta density at q_kappa times
+q_kappa - q_1, which on rows with (kappa - 1)^2 d1/2 <= 1 is proven smallest
+at a run's first cell.
 
 The minimum moves with kappa: just above 1 it runs to the corner of the
 grid (both caps binding), around kappa ~ 3 it prefers d1 = 1 with a large

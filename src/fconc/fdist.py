@@ -7,10 +7,12 @@ The shape-pair functions accept arbitrary reals with a >= 1/2, b > 1, which
 the lemma tests use for dense b-grids.
 
 The probe has one kernel, ``_probe``: I_q(a, b) with q formed by
-``_threshold`` as ka / (ka + (b - 1)). Every probe value in the package --
-the grid scan, ``prob_leq_kappa_mean`` and the verification checks -- goes
-through it, so all of them round q the same way and agree bit for bit on a
-cell.
+``_threshold`` as ka / (ka + (b - 1)). The grid scan and
+``prob_leq_kappa_mean`` go through it. The verification checks pass
+``(_threshold(...), a, b)`` to one ``reg_inc_beta`` call shared by a whole
+suite; that is ``_probe``'s own call, and ``reg_inc_beta`` computes each
+element on its own, whatever the call holds. So every probe value in the
+package rounds q the same way and they agree bit for bit on a cell.
 """
 
 from __future__ import annotations

@@ -20,8 +20,11 @@ Three ingredients:
   steps are one call over every segment end still open. Increment bound,
   for kappa > 1: the step from P_1 to P_kappa is the integral of the
   Beta(a, b) density f over [q_1, q_kappa], and f does not increase there,
-  so P_1(a, b_hi) + (q_kappa - q_1) * f(q_kappa) bounds the cell (a, b)
-  for b <= b_hi; one call takes P_1 at every segment end the stage needs.
+  so P_1(a, b_hi) + inc(a, b) bounds the cell (a, b) for b <= b_hi, where
+  inc(a, b) = (q_kappa - q_1) * f(q_kappa). On rows with
+  (kappa - 1)^2 a <= 1, inc does not decrease in b (the lemma below), so
+  the increment at a run's first cell bounds the whole run; one call
+  takes P_1 at every segment end the stage needs.
   The block bounds prune far from kappa = 1, the segment bound at and
   below it, and the increment bound just above it. A cell is skipped only
   when a bound, less its error budget, exceeds an evaluated cell's value
@@ -34,6 +37,26 @@ Three ingredients:
 * the closed-form answers for kappa <= 1 (0 below 1, 1/2 at 1, neither
   attained), which are reported alongside the numerical evidence rather
   than assumed.
+
+The lemma: for a > 0, b > 1 and kappa > 1 with (kappa - 1)^2 a <= 1,
+inc(a, b) does not decrease in b. Let u = b - 1, v = a + b - 1 and
+s = kappa a + b - 1, so q_kappa = kappa a / s and 1 - q_kappa = u / s. The
+b-derivative of ln inc is
+    D(b) = psi(a+b) - psi(b) + ln(1 - q_kappa) + (kappa-1) a / s + 1/u - 1/v,
+and its own derivative is
+    D'(b) = phi(v) - phi(u) + (kappa-1)^2 a^2 / (v s^2),
+where phi(x) = psi'(x+1) - 1/x + 1/x^2. Then phi'(x) = psi''(x) + 1/x^2
+<= -1/x^3: -psi''(x) is the integral over t > 0 of
+t^2 e^(-xt) / (1 - e^(-t)) (DLMF 5.15.1), and t / (1 - e^(-t)) >= 1 + t/2.
+As u < v, phi(u) - phi(v) >= integral of x^(-3) over [u, v]
+= a (u + v) / (2 u^2 v^2) >= a / v^3. As s >= v, a / v^3 is at least
+(kappa-1)^2 a^2 / (v s^2) whenever (kappa-1)^2 a <= 1, so D' <= 0. D tends
+to 0 as b -> infinity, so D >= 0: inc is non-decreasing in b. In floating
+point the row test may round, but the step from a (u + v) / (2 u^2 v^2)
+to a / v^3 leaves a relative slack of about 3a / (2u), which covers that
+rounding for any b below about 1e15. The eligible rows are a prefix of
+the grid: at full caps every row up to kappa = 1.0316, d1 <= 799 at 1.05,
+199 rows at 1.1, 8 at 1.5 and none above kappa = 1 + sqrt(2).
 
 One pass in the calling process decides which cells to evaluate; the live
 cells are evaluated in d1 stripes whose per-cell arithmetic does not depend
@@ -57,7 +80,6 @@ from .special import (
     BETA_DENSITY_REL_ERR,
     REG_INC_BETA_ABS_ERR,
     ConvergenceError,
-    _CHUNK,
     _grid_beta_density,
     _ln_lanczos_halves,
     reg_inc_beta,
@@ -346,99 +368,60 @@ def _increment(kappa, a, b, ln_lanczos):
     return dq * _grid_beta_density(_threshold(kappa, a, b), a, b, ln_lanczos)
 
 
-def _gains(kappa, a, b, rows, cols, ln_lanczos):
-    """Each entry (rows, cols)'s smallest increment over its cells, after
-    the budget, in chunks of special._CHUNK entries."""
-    gain = np.empty(rows.size)
-    for i in range(0, rows.size, _CHUNK):
-        a_r, b_lo = a[rows[i : i + _CHUNK]], b[_RUN * cols[i : i + _CHUNK]]
-        inc = np.inf
-        for j in range(_RUN):
-            # cells past d2_max repeat the row's last one
-            inc = np.minimum(inc, _increment(kappa, a_r, np.minimum(b_lo + j / 2.0, b[-1]), ln_lanczos))
-        gain[i : i + _CHUNK] = inc * (1.0 - BETA_DENSITY_REL_ERR) - _INCREMENT_MARGIN
-    return gain
-
-
 def _certify_increment(kappa, a, b, live, d2_max, limit, head):
     """Clear the entries of live, a rows x 4-column mask over rows a, whose
     cells all lie above limit by the increment bound, for kappa > 1.
 
-    For kappa > 1 and every b <= b_hi in row a,
+    For kappa > 1, every b <= b_hi in row a and every b_0 <= b,
         P_kappa(a, b) = P_1(a, b) + integral of f_ab over [q_1, q_kappa]
-                     >= P_1(a, b_hi) + _increment(kappa, a, b):
-    the paper's theorem at k' = 1, then the density bound. b_hi is the end
-    of the cell's row segment, and the bound is taken after its error
-    budget (_INCREMENT_MARGIN and BETA_DENSITY_REL_ERR). The increments come
-    first, stripe by stripe. head holds each row's P_1 at the end of its
-    first segment, which by the theorem is at least its P_1 at every later
-    segment end, so an entry whose bound does not exceed limit with head in
-    place of P_1 cannot be certified. One _segment_bound call then takes
-    P_1 on every (row, segment) pair, of every stripe visited, that holds
-    an entry that can. A rounded sum does not decrease in either term, so
-    where the pair's smallest such increment is certified, all of them are;
-    only the other pairs' hopeful entries have their increments formed
-    again, to be decided one by one.
-
-    Far from kappa = 1 the density at q_kappa is far below its mean over
-    [q_1, q_kappa], and no entry can be certified. So the stage takes the
-    stripes with the fewest live entries first and stops at the first
-    stripe with live entries none of which can: where it cannot win it
-    spends one small stripe and no P_1 call.
+                     >= P_1(a, b_hi) + _increment(kappa, a, b)
+                     >= P_1(a, b_hi) + _increment(kappa, a, b_0):
+    the paper's theorem at k' = 1, the density bound, then the lemma (see
+    the module docstring), which holds on the rows with
+    (kappa - 1)^2 a <= 1, a prefix of the grid. So on those rows a run of
+    cells up to a segment's end b_hi is bounded by P_1 there plus the
+    increment at the run's first cell, after its error budget
+    (_INCREMENT_MARGIN and BETA_DENSITY_REL_ERR). head holds each row's P_1
+    at the end of its first segment, by the theorem at least its P_1 at
+    every later one, so a (row, segment) pair whose bound with head in
+    place of P_1 and the increment at the segment's last cell does not
+    exceed limit holds no entry that can be certified. One _segment_bound
+    call takes P_1 on every other pair that holds a live entry; the pairs
+    certified from their segment's first cell are cleared whole, and the
+    rest entry by entry, each from its own first cell.
     """
+    live = live[: np.count_nonzero((kappa - 1.0) ** 2 * a <= 1.0)]
+    if not live.size:
+        return
     per_seg = _SEGMENT // _RUN
     ln_lanczos = _ln_lanczos_halves(a.size + d2_max)
-    hope, weakest = _hopeful(kappa, a, b, live, limit, head, ln_lanczos)
-    if hope is None:
+
+    def gain(rows, b_0):
+        return _increment(kappa, a[rows], b_0, ln_lanczos) * (1.0 - BETA_DENSITY_REL_ERR) - _INCREMENT_MARGIN
+
+    by_pair = live.reshape(live.shape[0], -1, per_seg)
+    rows, segs = np.nonzero(by_pair.any(axis=2))
+    ends = _segment_ends(segs, d2_max)
+    can = head[rows] + gain(rows, ends) > limit
+    if not can.any():
         return
-    pairs = np.nonzero(weakest < np.inf)
-    p1 = np.zeros(weakest.shape)
-    p1[pairs] = _segment_bound(kappa, a[pairs[0]], _segment_ends(pairs[1], d2_max))
-    # pairs whose every hopeful entry is certified; the others' hopeful
-    # entries are decided one by one
-    whole = (p1 + weakest > limit) & (weakest < np.inf)
-    # (row, segment, entry) views, so that no full-size temporary is formed
-    hope_by_pair, live_by_pair = (m.reshape(*whole.shape, per_seg) for m in (hope, live))
-    live_by_pair[whole] &= ~hope_by_pair[whole]
-    hope_by_pair[whole] = False
-    rows, cols = np.nonzero(hope)
-    dead = p1[rows, cols // per_seg] + _gains(kappa, a, b, rows, cols, ln_lanczos) > limit
-    live[rows[dead], cols[dead]] = False
-
-
-def _hopeful(kappa, a, b, live, limit, head, ln_lanczos):
-    """The entries of live that the increment bound can certify with head in
-    place of P_1, and each (row, segment) pair's smallest increment among
-    them (inf where there are none), over the stripes _certify_increment
-    visits; None and None when there are none, as far from kappa = 1,
-    where the stage then forms neither array. A function of its own, so
-    that its stripe arrays are freed before the stage's P_1 call, whose
-    working set peaks at some 7 MiB."""
-    per_seg = _SEGMENT // _RUN
-    hope = weakest = None
-    stripes = range(0, a.size, _STRIPE_ROWS)
-    for lo in sorted(stripes, key=lambda lo: np.count_nonzero(live[lo : lo + _STRIPE_ROWS])):
-        rows, cols = np.nonzero(live[lo : lo + _STRIPE_ROWS])
-        if not rows.size:
-            continue
-        rows += lo
-        gain = _gains(kappa, a, b, rows, cols, ln_lanczos)
-        can = head[rows] + gain > limit
-        if not can.any():
-            break
-        if hope is None:
-            hope = np.zeros_like(live)
-            weakest = np.full((live.shape[0], live.shape[1] // per_seg), np.inf)
-        hope[rows[can], cols[can]] = True
-        np.minimum.at(weakest, (rows[can], cols[can] // per_seg), gain[can])
-    return hope, weakest
+    rows, segs, ends = rows[can], segs[can], ends[can]
+    p1 = _segment_bound(kappa, a[rows], ends)
+    whole = p1 + gain(rows, b[_SEGMENT * segs]) > limit
+    by_pair[rows[whole], segs[whole]] = False
+    rows, segs, p1 = rows[~whole], segs[~whole], p1[~whole]
+    pair, entry = np.nonzero(by_pair[rows, segs])
+    cols = segs[pair] * per_seg + entry
+    dead = p1[pair] + gain(rows[pair], b[_RUN * cols]) > limit
+    live[rows[pair[dead]], cols[dead]] = False
 
 
 def _live_blocks(kappa, grid, limit, column=None):
     """Grid rows x 4-column entries: True where the row's cells in the entry
     lie past its certified segments, the bounds of the 16 x 16 block and of
-    the strip or strips holding them are at most limit, and, for kappa > 1,
-    the increment bound of some cell in the entry is too.
+    the strip or strips holding them are at most limit, and, for kappa > 1
+    on rows with (kappa - 1)^2 a <= 1, the increment bound from the entry's
+    first cell is too.
 
     column, the probe on column d2 = d2_max when the caller has it, is read
     at kappa <= 1, where it is each row's last segment bound. The block
@@ -515,10 +498,11 @@ def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, workers: Optional[int] = 
     workers processes, one per stripe, when workers > 1 and two or more
     stripes have live cells. Ties go to the smallest d1, then the smallest
     d2, and the reduction runs in fixed stripe order, so the result (and
-    every intermediate value) is independent of the worker count. kappa * d1_max/2 must be finite. A
-    ConvergenceError in the seed, the pass or a stripe, a pool worker's
-    too, is re-raised here naming kappa and the cell, with its iterations
-    and args_at_failure unchanged.
+    every intermediate value) is independent of the worker count.
+
+    kappa * d1_max/2 must be finite. A ConvergenceError in the seed, the
+    pass or a stripe, a pool worker's too, is re-raised here naming kappa
+    and the cell, with its iterations and args_at_failure unchanged.
     """
     k = _check_kappa(kappa, grid.d1_max / 2.0)
     with _naming_cell(k):
@@ -601,8 +585,8 @@ def infimum(kappa, grid: GridSpec = DEFAULT_GRID, a_grid=None, workers: Optional
     values near 1 are never snapped. For kappa <= 1 the grid minimum is
     evidence beside the closed forms. The scan prunes with the paper's
     b-monotonicity theorem at kappa <= 1 and, through the increment bound,
-    at kappa > 1 near 1 (at 1.00005 to 1.3 it certifies most cells), so
-    the grid minimum leans on the theorem there;
+    at kappa > 1 near 1 (at full caps it certifies 95% of the grid at
+    1.005 and 35% at 1.05), so the grid minimum leans on the theorem there;
     verify.check_monotone_b keeps testing it on its own sample.
     """
     if a_grid is None:

@@ -508,6 +508,10 @@ def _check_kappa_monotone(p_sample, kappa_ladder) -> CheckResult:
 def _check_oracle_agreement(sample, tol: float = 1e-9) -> CheckResult:
     """|continued fraction - tanh-sinh quadrature| on (x, a, b) triples."""
     x, a, b = _sample_columns(sample, "oracle-agreement")
+    # quad_inc_beta's domain, named before the shared call rather than in it
+    _require("oracle-agreement", "x must lie in [0, 1]", x, (0.0 <= x) & (x <= 1.0))
+    _require("oracle-agreement", f"a must lie in [0.5, {_SHAPE_MAX:g}]", a, (0.5 <= a) & (a <= _SHAPE_MAX))
+    _require("oracle-agreement", f"b must lie in (0, {_SHAPE_MAX:g}]", b, (0.0 < b) & (b <= _SHAPE_MAX))
     cf_vals = yield x, a, b
     # np.max keeps a NaN residual, which CheckResult then rejects
     worst = float(np.max(np.abs(quad_inc_beta(x, a, b) - cf_vals)))

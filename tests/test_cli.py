@@ -11,7 +11,7 @@ import pytest
 import fconc.verify
 from fconc import cli, probe
 
-from conftest import child_env
+from conftest import child_env, patch_infimum
 
 _scan_stripe = probe._scan_stripe
 
@@ -76,6 +76,19 @@ class TestInf:
         p = run_cli("inf", "--kappa", "2", "--d1-max", "5", "--d2-max", "5", "--a-max", a_max)
         assert p.returncode == 2
         assert "--a-max" in p.stderr and "Traceback" not in p.stderr
+
+    @pytest.mark.parametrize(
+        "grid_min, limit_min, where", [(0.5, 0.7, "('grid', 3, 7, 0.5)"), (0.6, 0.4, "('limit', 2.0, 0.4)")]
+    )
+    def test_counterexample_exits_one(self, monkeypatch, capsys, grid_min, limit_min, where):
+        # the documented exit for a probe value <= 1/2 above kappa = 1: the
+        # result still goes to stdout, the counterexample to stderr
+        patch_infimum(monkeypatch, grid_min, limit_min)
+        argv = ["inf", "--kappa", "1.05", "--d1-max", "5", "--d2-max", "5", "--a-max", "5"]
+        assert cli.main(argv) == cli.EXIT_CHECK_FAILED
+        out, err = capsys.readouterr()
+        assert "grid minimum" in out
+        assert f"COUNTEREXAMPLE: probe value <= 1/2 at {where} contradicts" in err
 
 
 @pytest.mark.parametrize(

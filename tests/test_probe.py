@@ -24,7 +24,7 @@ from fconc import cli, fdist, probe, special
 from fconc.probe import FLAG_CONJECTURE_REGIME, FLAG_EXACT_INF_NOT_ATTAINED
 from fconc.special import BETA_DENSITY_REL_ERR, REG_INC_BETA_ABS_ERR, _ln_lanczos_halves
 
-from conftest import PROBE_KAPPAS
+from conftest import PROBE_KAPPAS, patch_infimum
 
 
 class TestGridSpec:
@@ -316,6 +316,27 @@ class TestGridInfimum:
         assert bool(calls) == runs
 
     @pytest.mark.parametrize(
+        "kappa, head_elements", [(1.001, 2_711_120), (1.005, 3_783_072), (1.05, 2_274_448), (3.005, 0), (16.0, 0)]
+    )
+    def test_increment_stage_forms_few_densities(self, monkeypatch, kappa, head_elements):
+        # a count, so deterministic, at full caps: the per-entry stage formed
+        # head_elements increments, four per live entry it saw; the
+        # first-cell rule forms one per run end, about 3% of that, and none
+        # where no row satisfies the lemma's (kappa - 1)^2 a <= 1
+        formed = []
+        increment = probe._increment
+
+        def counting(kappa, a, b, ln_lanczos):
+            formed.append(np.size(b))
+            return increment(kappa, a, b, ln_lanczos)
+
+        monkeypatch.setattr(probe, "_increment", counting)
+        grid = GridSpec(1999, 1999)
+        *seed, column = probe._seed(kappa, grid)
+        probe._live_blocks(kappa, grid, seed[0] + probe._PRUNE_MARGIN, column)
+        assert sum(formed) <= 0.05 * head_elements
+
+    @pytest.mark.parametrize(
         "kappa, in_pass, in_stage",
         [(0.9, 1, 0), (1.0, 1, 0), (1.00005, None, 1), (1.001, None, 1), (1.05, None, 1), (1.5, 1, 0)],
     )
@@ -417,6 +438,45 @@ class TestGridInfimum:
         bound = p1 - probe._INCREMENT_MARGIN + inc * (1.0 - BETA_DENSITY_REL_ERR)
         cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
         assert (bound <= cells + REG_INC_BETA_ABS_ERR).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kappa=st.one_of(st.sampled_from([1.00005, 1.001, 1.005, 1.05, 1.5]), st.floats(1.0, 1.1, exclude_min=True),
+                        st.floats(1.1, 2.4)),
+        d1=st.integers(1, 1999),
+        d2_max=st.integers(3, 1999),
+        segment=st.integers(0, 31),
+        start=st.integers(0, probe._SEGMENT - 1),
+    )
+    def test_first_cell_bound_below_every_cell_of_run(self, kappa, d1, d2_max, segment, start):
+        # the stage's bound over a run of cells ending at a segment's end, on
+        # a row of the lemma: P_1 at the segment's end, less the allowance,
+        # plus the run's first cell's increment less its relative error
+        eligible = np.count_nonzero((kappa - 1.0) ** 2 * (np.arange(1, 2000) / 2.0) <= 1.0)
+        d1 = 1 + (d1 - 1) % eligible
+        n_seg = -(-(d2_max - 2) // probe._SEGMENT)
+        b_hi = probe._segment_ends(min(segment, n_seg - 1), d2_max)
+        b = np.arange(max(3, 2 * b_hi - start), 2 * b_hi + 1) / 2.0
+        a = np.full(b.size, d1 / 2.0)
+        p1 = probe._segment_bound(kappa, a[0], b_hi)
+        inc = probe._increment(kappa, a[:1], b[:1], _ln_lanczos_halves(d1 + d2_max))
+        bound = p1 - probe._INCREMENT_MARGIN + inc[0] * (1.0 - BETA_DENSITY_REL_ERR)
+        cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
+        assert (bound <= cells + REG_INC_BETA_ABS_ERR).all()
+
+    @pytest.mark.parametrize("kappa", [1.00005, 1.001, 1.005, 1.0316, 1.05, 1.1, 1.5, 2.4])
+    def test_increment_non_decreasing_along_eligible_rows(self, kappa):
+        # the lemma on the computed term: every row with (kappa - 1)^2 a <= 1
+        # at full caps, along d2. It even increases strictly: the smallest
+        # relative step measured is 6.7e-10, against its 1e-11 error
+        grid = GridSpec(1999, 1999)
+        a = np.arange(1, grid.d1_max + 1)[:, None] / 2.0
+        b = np.arange(3, grid.d2_max + 1)[None, :] / 2.0
+        a = a[: np.count_nonzero((kappa - 1.0) ** 2 * a <= 1.0)]
+        table = _ln_lanczos_halves(grid.d1_max + grid.d2_max)
+        for lo in range(0, a.shape[0], 128):
+            inc = probe._increment(kappa, *np.broadcast_arrays(a[lo : lo + 128], b), table)
+            assert (np.diff(inc, axis=1) > 0.0).all()
 
     def test_increment_error_against_mpmath(self, monkeypatch):
         # the cells the stage sees at full caps from kappa = 1.00005 to 1.05,
@@ -669,6 +729,62 @@ class TestGridInfimum:
         assert f"grid scan at kappa=1.5: convergence failure at (d1, d2) = ({d1}, {d2})" in err
 
 
+def _ln_increment(mpmath, a, b, kappa):
+    """ln inc(a, b) = ln((q_kappa - q_1) f_ab(q_kappa)), exactly."""
+    u, v, s = b - 1, a + b - 1, kappa * a + b - 1
+    ln_beta = mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
+    return (mpmath.log(a * (kappa - 1) * u / (s * v)) + (a - 1) * mpmath.log(kappa * a / s)
+            + (b - 1) * mpmath.log(u / s) - ln_beta)
+
+
+def _d2_ln_increment(mpmath, a, b, kappa):
+    """The closed form of the second b-derivative of ln inc (the probe
+    module's lemma): phi(v) - phi(u) + (kappa - 1)^2 a^2 / (v s^2)."""
+    u, v, s = b - 1, a + b - 1, kappa * a + b - 1
+
+    def phi(x):
+        return mpmath.psi(1, x + 1) - 1 / x + 1 / x**2
+
+    return phi(v) - phi(u) + (kappa - 1) ** 2 * a**2 / (v * s**2)
+
+
+class TestIncrementLemma:
+    """The lemma behind the increment stage's first-cell rule: on rows with
+    (kappa - 1)^2 a <= 1, inc(a, b) does not decrease in b."""
+
+    @pytest.mark.parametrize(
+        "a, b, kappa",
+        [(0.5, 1.5, 1.001), (3.0, 10.0, 1.05), (50.0, 200.0, 1.1), (999.5, 999.5, 1.0316), (7.0, 3.0, 2.0),
+         (0.5, 1000.0, 2.4)],
+    )
+    def test_second_derivative_closed_form(self, a, b, kappa):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            a, b, kappa = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(kappa)
+            numeric = mpmath.diff(lambda t: _ln_increment(mpmath, a, t, kappa), b, 2)
+            closed = _d2_ln_increment(mpmath, a, b, kappa)
+            assert abs(numeric - closed) <= 1e-8 * abs(closed)
+
+    def test_trigamma_derivative_bound(self):
+        # phi'(x) = psi''(x) + 1/x^2 <= -1/x^3, the proof's one inequality
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for x in np.geomspace(0.5, 1e6, 61):
+                x = mpmath.mpf(float(x))
+                assert -mpmath.psi(2, x) >= 1 / x**2 + 1 / x**3
+
+    def test_second_derivative_negative_at_band_edge(self):
+        # kappa = 1 + 1/sqrt(a), where (kappa - 1)^2 a = 1 and the bound is
+        # at its tightest; 60 digits, as D' falls to 1e-37 at b = 1e9
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            for a in np.geomspace(0.5, 1e5, 8):
+                a = mpmath.mpf(float(a))
+                kappa = 1 + 1 / mpmath.sqrt(a)
+                for b in np.geomspace(1.5, 1e9, 10):
+                    assert _d2_ln_increment(mpmath, a, mpmath.mpf(float(b)), kappa) < 0
+
+
 class TestLimitCurve:
     def test_known_limit_values(self):
         assert limit_b(1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
@@ -778,6 +894,17 @@ class TestConjectureProbe:
         assert not rep.falsified
         assert rep.counterexample is None
         assert rep.margin > 0.09
+
+    @pytest.mark.parametrize(
+        "grid_min, limit_min, counterexample",
+        [(0.5, 0.7, ("grid", 3, 7, 0.5)), (0.6, 0.4, ("limit", 2.0, 0.4)), (0.4, 0.3, ("grid", 3, 7, 0.4))],
+    )
+    def test_counterexample_reported(self, monkeypatch, grid_min, limit_min, counterexample):
+        # a grid minimum <= 1/2 is named first, then a limit minimum
+        patch_infimum(monkeypatch, grid_min, limit_min)
+        rep = conjecture_probe(1.05, GridSpec(5, 5))
+        assert rep.falsified and rep.counterexample == counterexample
+        assert rep.margin == min(grid_min, limit_min) - 0.5
 
     def test_requires_kappa_above_one(self):
         with pytest.raises(ValueError):

@@ -370,13 +370,18 @@ class TestCheckInputs:
             (check_recurrence, ([(0.5, 2.0, 3.0), (math.nan, 2.0, 3.0)],), "recurrence-identity: " + _BAD_SAMPLE + "nan"),
             (check_recurrence, ([(0.5, math.inf, 3.0)],), "recurrence-identity: " + _BAD_SAMPLE + "inf"),
             (check_oracle_agreement, ([(0.5, 2.0, math.nan)],), "oracle-agreement: " + _BAD_SAMPLE + "nan"),
+            (check_oracle_agreement, ([(0.5, 0.3, 2.0)],), "oracle-agreement: a must lie in [0.5, 100000], got 0.3"),
+            (check_oracle_agreement, ([(1.5, 1.0, 2.0)],), "oracle-agreement: x must lie in [0, 1], got 1.5"),
+            (check_oracle_agreement, ([(0.5, 2.0, 2e5)],), "oracle-agreement: b must lie in (0, 100000], got 200000.0"),
         ],
     )
     def test_bad_values_named_by_their_planner(self, monkeypatch, check, args, message):
         # a rung of 0.5 divided by zero in fdist._threshold, and a NaN rung or
         # sample value reached reg_inc_beta, whose message names no check; an
-        # a of -1 was named by limit_b, which now runs after the call. Each
-        # now fails in its check's planner, before the call.
+        # a of -1 was named by limit_b, which now runs after the call. The
+        # oracle's shapes and x were named by quad_inc_beta or reg_inc_beta
+        # alone, an a of 0.3 only after the whole call. Each now fails in its
+        # check's planner, before the call.
         def unreachable(*args):
             raise AssertionError("reg_inc_beta reached")
 
