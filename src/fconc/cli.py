@@ -22,10 +22,10 @@ Exit codes: 0 success, 1 verification/assertion failure, 2 usage error,
 3 numerical convergence failure, 4 a pool worker process died (killed, or
 out of memory) before returning its stripe, 5 the output could not be
 written (stdout or --out; a full disk, a closed pipe). A --workers below 1
-is a usage error, and so are a kappa whose product with the largest shape
-the command forms is not finite, an --out path that cannot be opened, and a
-negative --seed; a convergence failure inside a pool worker still exits
-with 3.
+is a usage error, and so are a d1, d2 or cap above 2e5, a kappa whose
+product with the largest shape the command forms is not finite, an --out
+path that cannot be opened, and a negative --seed; a convergence failure
+inside a pool worker still exits with 3.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .fdist import FParams, _check_kappa, prob_leq_kappa_mean, threshold
 from .probe import DEFAULT_GRID, GridSpec, conjecture_probe, default_a_grid, infimum
-from .special import ConvergenceError
+from .special import SHAPE_MAX, ConvergenceError
 from .verify import DEFAULT_SEED, run_suite
 
 EXIT_OK = 0
@@ -137,12 +137,21 @@ def _emit_results(args, results, render_text=None):
     _emit(render_text(results) if args.format == "text" else _records(results, args.format), args.out)
 
 
+def _check_dofs(*flags):
+    """A UsageError naming the first (flag, value) pair past shape SHAPE_MAX;
+    value is argparse's int, which compares with a float without overflow."""
+    for flag, value in flags:
+        if value > 2 * SHAPE_MAX:
+            raise UsageError(f"{flag} must be at most {2 * SHAPE_MAX:g}: accuracy is not held past shape {SHAPE_MAX:g}")
+
+
 def _resolve_settings(args):
     """GridSpec and workers from the flags."""
     try:
         grid = GridSpec(args.d1_max, args.d2_max)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    _check_dofs(("--d1-max", grid.d1_max), ("--d2-max", grid.d2_max))
     if args.workers is not None and args.workers < 1:
         raise UsageError(f"workers must be >= 1, got {args.workers}")
     return grid, args.workers
@@ -242,6 +251,7 @@ def cmd_prob(args) -> int:
         )
     if args.d1 < 1:
         raise UsageError("--d1 must be >= 1")
+    _check_dofs(("--d1", args.d1), ("--d2", args.d2))
     _check_kappa_arg("--kappa", args.kappa, args.d1 / 2.0)
     p = FParams(args.d1, args.d2)
     s = p.shape()

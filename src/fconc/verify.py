@@ -39,7 +39,7 @@ import numpy as np
 
 from .fdist import FParams, _check_kappa, _threshold
 from .probe import limit_b
-from .special import ConvergenceError, _finish, _prepare, ln_beta, reg_inc_beta
+from .special import SHAPE_MAX, ConvergenceError, _finish, _prepare, ln_beta, reg_inc_beta
 
 __all__ = [
     "QuadratureError",
@@ -61,8 +61,6 @@ DEFAULT_SEED = 1729
 _Z_MAX = 340.0
 _KH_MAX = math.asinh(2.0 * _Z_MAX / math.pi)
 _X_TINY = 1e-280  # see quad_inc_beta
-# The oracle's domain bound on a and b; see quad_inc_beta.
-_SHAPE_MAX = 1e5
 # Refinement cap (mesh halvings). Reaching it raises QuadratureError, so it
 # can only turn a result into a convergence failure.
 _MAX_LEVEL = 12
@@ -214,7 +212,7 @@ def quad_inc_beta(x, a, b):
     [0, x] underflow, but (1 - t)^(b-1) is 1 there within a relative
     1e-280: the partial integral is x^a times that of u^(a-1) over [0, 1].
 
-    The domain is a >= 0.5, 0 < b <= 1e5 and a <= 1e5 (_SHAPE_MAX); past
+    The domain is a >= 0.5, 0 < b <= 1e5 and a <= 1e5 (SHAPE_MAX); past
     it a sharply peaked integrand fails to converge (from about 3e5) or
     drifts (at (1, 1e8), 1e-9 from reg_inc_beta). The 1e-12 accuracy above
     is checked against mpmath for a, b in [0.5, 2000].
@@ -228,8 +226,8 @@ def quad_inc_beta(x, a, b):
         raise ValueError("quad_inc_beta requires a and b to be finite")
     if ((a < 0.5) | (b <= 0.0)).any():
         raise ValueError("quad_inc_beta requires a >= 0.5 and b > 0")
-    if ((a > _SHAPE_MAX) | (b > _SHAPE_MAX)).any():
-        raise ValueError(f"quad_inc_beta requires a and b at most {_SHAPE_MAX:g}")
+    if ((a > SHAPE_MAX) | (b > SHAPE_MAX)).any():
+        raise ValueError(f"quad_inc_beta requires a and b at most {SHAPE_MAX:g}")
     out = np.where(x == 1.0, 1.0, 0.0)
     inner = np.flatnonzero((x > 0.0) & (x < 1.0))
     hi, am1, bm1 = x[inner], a[inner] - 1.0, b[inner] - 1.0
@@ -510,8 +508,8 @@ def _check_oracle_agreement(sample, tol: float = 1e-9) -> CheckResult:
     x, a, b = _sample_columns(sample, "oracle-agreement")
     # quad_inc_beta's domain, named before the shared call rather than in it
     _require("oracle-agreement", "x must lie in [0, 1]", x, (0.0 <= x) & (x <= 1.0))
-    _require("oracle-agreement", f"a must lie in [0.5, {_SHAPE_MAX:g}]", a, (0.5 <= a) & (a <= _SHAPE_MAX))
-    _require("oracle-agreement", f"b must lie in (0, {_SHAPE_MAX:g}]", b, (0.0 < b) & (b <= _SHAPE_MAX))
+    _require("oracle-agreement", f"a must lie in [0.5, {SHAPE_MAX:g}]", a, (0.5 <= a) & (a <= SHAPE_MAX))
+    _require("oracle-agreement", f"b must lie in (0, {SHAPE_MAX:g}]", b, (0.0 < b) & (b <= SHAPE_MAX))
     cf_vals = yield x, a, b
     # np.max keeps a NaN residual, which CheckResult then rejects
     worst = float(np.max(np.abs(quad_inc_beta(x, a, b) - cf_vals)))

@@ -106,6 +106,43 @@ def test_kappa_times_shape_overflow_usage_error(argv):
     assert "Traceback" not in p.stderr
 
 
+_HUGE = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("prob", "--d1", "3", "--d2", str(2 * 10**17)), "--d2"),
+        (("prob", "--d1", "3", "--d2", str(2 * 10**10)), "--d2"),
+        (("prob", "--d1", _HUGE, "--d2", "5"), "--d1"),
+        (("inf", "--kappa", "1.5", "--d1-max", _HUGE), "--d1-max"),
+        (("inf", "--kappa", "1.5", "--d2-max", _HUGE), "--d2-max"),
+        (("table", "--d2-max", _HUGE), "--d2-max"),
+        (("sweep", "--kappa-from", "1", "--kappa-to", "2", "--steps", "2", "--d1-max", _HUGE), "--d1-max"),
+        (("prob", "--d1", "200001", "--d2", "5"), "--d1"),
+        (("prob", "--d1", "3", "--d2", "200001"), "--d2"),
+    ],
+)
+def test_degrees_of_freedom_past_shape_max_usage_error(capsys, argv, flag):
+    # a d1, d2 or cap above 2e5 forms a shape past special.SHAPE_MAX, where
+    # no accuracy is held: prob printed 1 at d2 = 2e17 (ln_beta is -inf
+    # there) and a value wrong from its 8th digit at 2e10, both with exit
+    # 0, and 10**400 failed with a traceback (an overflow, or an array too
+    # large)
+    err = _main_error(capsys, list(argv))
+    assert err.startswith(f"error: {flag} must be at most 200000:")
+
+
+def test_degrees_of_freedom_at_shape_max_accepted(capsys):
+    assert cli.main(["prob", "--d1", "200000", "--d2", "200000"]) == 0
+    assert "shape (a, b)       = (100000, 100000)" in capsys.readouterr().out
+    args = cli.build_parser().parse_args(["table", "--d1-max", "200000", "--d2-max", "200000"])
+    assert cli._resolve_settings(args) == (probe.GridSpec(200000, 200000), None)
+    args.d2_max += 1
+    with pytest.raises(cli.UsageError, match="--d2-max must be at most 200000"):
+        cli._resolve_settings(args)
+
+
 def _die_past_first_stripe(args):
     # module level, so the pool can pickle it; os._exit skips all cleanup,
     # as a kill or the out-of-memory killer does

@@ -22,7 +22,7 @@ from fconc import (
 )
 from fconc import cli, fdist, probe, special
 from fconc.probe import FLAG_CONJECTURE_REGIME, FLAG_EXACT_INF_NOT_ATTAINED
-from fconc.special import BETA_DENSITY_REL_ERR, REG_INC_BETA_ABS_ERR, _ln_lanczos_halves
+from fconc.special import BETA_DENSITY_REL_ERR, REG_INC_BETA_ABS_ERR
 
 from conftest import PROBE_KAPPAS, patch_infimum
 
@@ -326,9 +326,9 @@ class TestGridInfimum:
         formed = []
         increment = probe._increment
 
-        def counting(kappa, a, b, ln_lanczos):
+        def counting(kappa, a, b):
             formed.append(np.size(b))
-            return increment(kappa, a, b, ln_lanczos)
+            return increment(kappa, a, b)
 
         monkeypatch.setattr(probe, "_increment", counting)
         grid = GridSpec(1999, 1999)
@@ -344,9 +344,10 @@ class TestGridInfimum:
         # a count, so deterministic, at full caps: each call costs some 3-7 ms
         # of numpy overhead whatever its size. At kappa <= 1 the seed's column
         # certifies all rows but a few whole and one call takes every open
-        # end of those (it took 6); the increment stage takes P_1 for every
-        # stripe it visits in one call (it took 7, 15 and 16); at 1.5 the pass
-        # takes only the first segments and the stage spends no call
+        # end of those (it took 6); the increment stage takes P_1 in one call
+        # at every run end its head check leaves open, on the lemma's rows;
+        # at 1.5 the pass takes only the first segments and the stage spends
+        # no call
         calls, stage_calls = [], []
         segment_bound, certify_increment = probe._segment_bound, probe._certify_increment
 
@@ -390,9 +391,11 @@ class TestGridInfimum:
 
     @pytest.mark.parametrize("kappa", [1.25, 1.35, 1.45])
     def test_batched_increment_search_matches_full_grid(self, kappa):
-        # at 1.25 and 1.35 the stage's one P_1 call mixes pairs it certifies
-        # whole with pairs decided entry by entry, from every stripe; at 1.45
-        # it stops at its first stripe. Held to the full-grid and per-stripe
+        # at 1.25 and 1.35 the stage's one P_1 call, on the lemma's 32 and 16
+        # rows, mixes (row, segment) pairs it certifies whole from their
+        # first cell (145 and 32) with pairs decided entry by entry (43 and
+        # 37); at 1.45 the head check rules out all 63 pairs of its 9 rows
+        # and the stage takes no P_1. Held to the full-grid and per-stripe
         # oracles (test_pruned_search_matches_full_grid covers kappa = 0.9)
         self.test_pruned_search_matches_full_grid(kappa)
 
@@ -434,7 +437,7 @@ class TestGridInfimum:
         b = np.arange(2 * b_hi - probe._SEGMENT + 1, 2 * b_hi + 1).clip(3, None) / 2.0
         a = np.full(b.size, d1 / 2.0)
         p1 = probe._segment_bound(kappa, a[0], b_hi)
-        inc = probe._increment(kappa, a, b, _ln_lanczos_halves(d1 + d2_max))
+        inc = probe._increment(kappa, a, b)
         bound = p1 - probe._INCREMENT_MARGIN + inc * (1.0 - BETA_DENSITY_REL_ERR)
         cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
         assert (bound <= cells + REG_INC_BETA_ABS_ERR).all()
@@ -459,7 +462,7 @@ class TestGridInfimum:
         b = np.arange(max(3, 2 * b_hi - start), 2 * b_hi + 1) / 2.0
         a = np.full(b.size, d1 / 2.0)
         p1 = probe._segment_bound(kappa, a[0], b_hi)
-        inc = probe._increment(kappa, a[:1], b[:1], _ln_lanczos_halves(d1 + d2_max))
+        inc = probe._increment(kappa, a[:1], b[:1])
         bound = p1 - probe._INCREMENT_MARGIN + inc[0] * (1.0 - BETA_DENSITY_REL_ERR)
         cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
         assert (bound <= cells + REG_INC_BETA_ABS_ERR).all()
@@ -473,9 +476,8 @@ class TestGridInfimum:
         a = np.arange(1, grid.d1_max + 1)[:, None] / 2.0
         b = np.arange(3, grid.d2_max + 1)[None, :] / 2.0
         a = a[: np.count_nonzero((kappa - 1.0) ** 2 * a <= 1.0)]
-        table = _ln_lanczos_halves(grid.d1_max + grid.d2_max)
         for lo in range(0, a.shape[0], 128):
-            inc = probe._increment(kappa, *np.broadcast_arrays(a[lo : lo + 128], b), table)
+            inc = probe._increment(kappa, *np.broadcast_arrays(a[lo : lo + 128], b))
             assert (np.diff(inc, axis=1) > 0.0).all()
 
     def test_increment_error_against_mpmath(self, monkeypatch):
@@ -501,10 +503,9 @@ class TestGridInfimum:
         for kappa in (1.00005, 1.001, 1.005, 1.05):
             limit = probe._seed(kappa, grid)[0] + probe._PRUNE_MARGIN
             probe._live_blocks(kappa, grid, limit)
-        table = _ln_lanczos_halves(grid.d1_max + grid.d2_max)
         with mpmath.workdps(40):
             for kappa, a, b in seen:
-                got = probe._increment(kappa, a, b, table)
+                got = probe._increment(kappa, a, b)
                 for ai, bi, gi in zip(a, b, got):
                     k, am, bm = mpmath.mpf(kappa), mpmath.mpf(ai), mpmath.mpf(bi)
                     q_k, q_1 = k * am / (k * am + bm - 1), am / (am + bm - 1)

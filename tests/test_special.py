@@ -15,7 +15,7 @@ from fconc import (
     reg_lower_gamma,
 )
 
-from fconc import special
+from fconc import fdist, special
 from fconc.special import _CHUNK, REG_INC_BETA_ABS_ERR
 
 from conftest import PROBE_KAPPAS, seeded_triples
@@ -76,6 +76,15 @@ class TestBeta:
         assert max(ln_err) <= 1e-12
         assert len(rel_err) > 2500 and max(rel_err) <= 1e-12
 
+    @pytest.mark.parametrize("b, err", [(1e5, 5.1e-13), (1e6, 3.0e-12)])
+    def test_ln_beta_error_past_documented_range(self, b, err):
+        # past a, b = 2000 the error grows with the shapes, as the docstring
+        # states; for a << b it is 5.05e-13 and 2.95e-12 here
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = mpmath.log(mpmath.beta(mpmath.mpf(1.5), mpmath.mpf(b)))
+            assert abs(float(ref - ln_beta(1.5, b))) <= err
+
     def test_chunked_call_matches_slices(self):
         # two chunks and a tail, sub-0.5 shapes included, against calls
         # whose batches end elsewhere
@@ -94,6 +103,24 @@ class TestBeta:
     def test_overflow_reported(self):
         with pytest.raises(OverflowError):
             beta(1e-310, 1e-310)
+
+
+class TestGridBetaDensity:
+    @pytest.mark.parametrize("kappa", PROBE_KAPPAS)
+    def test_density_takes_ln_beta(self, kappa):
+        # one log-Beta: the increment bound's density is formed from ln_beta,
+        # hex for hex, at the grid's thresholds, on 2-D rows x columns and
+        # on their flattened 1-D form, shapes (0.5, 1.5) to (999.5, 999.5)
+        d1 = np.append(np.arange(1, 1999, 26), 1999)
+        d2 = np.append(np.arange(3, 1999, 24), 1999)
+        a, b = np.broadcast_arrays(d1[:, None] / 2.0, d2[None, :] / 2.0)
+        x = fdist._threshold(kappa, a, b)
+        want = np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - ln_beta(a, b))
+        got = special._grid_beta_density(x, a, b)
+        assert got.shape == a.shape
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+        flat = special._grid_beta_density(x.ravel(), a.ravel(), b.ravel())
+        assert (flat.view(np.int64) == want.ravel().view(np.int64)).all()
 
 
 class TestRegIncBeta:
