@@ -38,9 +38,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .fdist import FParams, _check_kappa, prob_leq_kappa_mean, threshold
+from .fdist import FParams, _check_df_max, _check_kappa, prob_leq_kappa_mean, threshold
 from .probe import DEFAULT_GRID, GridSpec, conjecture_probe, default_a_grid, infimum
-from .special import SHAPE_MAX, ConvergenceError
+from .special import ConvergenceError
 from .verify import DEFAULT_SEED, run_suite
 
 EXIT_OK = 0
@@ -138,20 +138,22 @@ def _emit_results(args, results, render_text=None):
 
 
 def _check_dofs(*flags):
-    """A UsageError naming the first (flag, value) pair past shape SHAPE_MAX;
-    value is argparse's int, which compares with a float without overflow."""
+    """A UsageError naming the first (flag, value) pair past shape SHAPE_MAX."""
     for flag, value in flags:
-        if value > 2 * SHAPE_MAX:
-            raise UsageError(f"{flag} must be at most {2 * SHAPE_MAX:g}: accuracy is not held past shape {SHAPE_MAX:g}")
+        try:
+            _check_df_max(flag, value)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
 
 
 def _resolve_settings(args):
     """GridSpec and workers from the flags."""
+    # before GridSpec, which names its fields, so the message names the flags
+    _check_dofs(("--d1-max", args.d1_max), ("--d2-max", args.d2_max))
     try:
         grid = GridSpec(args.d1_max, args.d2_max)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _check_dofs(("--d1-max", grid.d1_max), ("--d2-max", grid.d2_max))
     if args.workers is not None and args.workers < 1:
         raise UsageError(f"workers must be >= 1, got {args.workers}")
     return grid, args.workers

@@ -21,16 +21,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import reg_inc_beta
+from .special import SHAPE_MAX, reg_inc_beta
 
 __all__ = ["FParams", "ShapePair", "mean", "cdf", "threshold", "prob_leq_kappa_mean"]
+
+
+def _check_df_max(name, value):
+    """A ValueError naming the field when an integer d1, d2 or cap exceeds
+    2 * SHAPE_MAX, forming a shape where no accuracy is held. The Python int
+    compares with the float exactly, however large (10**400 included)."""
+    if int(value) > 2 * SHAPE_MAX:
+        raise ValueError(f"{name} must be at most {2 * SHAPE_MAX:g}: accuracy is not held past shape {SHAPE_MAX:g}")
 
 
 @dataclass(frozen=True)
 class FParams:
     """Degrees of freedom of an F random variable.
 
-    The mean d2/(d2-2) exists only for d2 > 2, so d2 >= 3 is required here.
+    The mean d2/(d2-2) exists only for d2 > 2, so d2 >= 3 is required here,
+    and d1, d2 <= 2 * special.SHAPE_MAX, past which no accuracy is held.
     """
 
     d1: int
@@ -43,6 +52,8 @@ class FParams:
             raise ValueError(f"d1 must be >= 1, got {self.d1}")
         if self.d2 < 3:
             raise ValueError(f"d2 must be >= 3 (the mean requires d2 > 2), got {self.d2}")
+        _check_df_max("d1", self.d1)
+        _check_df_max("d2", self.d2)
 
     def shape(self) -> "ShapePair":
         return ShapePair(self.d1 / 2.0, self.d2 / 2.0)

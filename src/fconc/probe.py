@@ -14,10 +14,12 @@ Three ingredients:
   bound: q increases in kappa, so P_kappa >= P_min(kappa, 1) cell by cell,
   and by the paper's theorem P_k' strictly decreases in b for k' <= 1, so
   P_min(kappa, 1)(a, b_hi) bounds every cell of a row up to b_hi: a row's
-  certified 64-column segments are a prefix. At kappa <= 1 the seed's
-  column d2 = d2_max is each row's last segment bound and certifies most
-  rows whole; the other rows' prefixes are found by bisection, whose last
-  steps are one call over every segment end still open. Increment bound,
+  certified 64-column segments are a prefix. The seed's call takes one
+  segment bound per row: at kappa <= 1 its column d2 = d2_max, each row's
+  last segment bound, which certifies most rows whole; above 1 the first
+  segment's, and then one call takes the last segment's on the rows that
+  leaves open. The other rows' prefixes are searched with about d1_max
+  segment ends a call. Increment bound,
   for kappa > 1: the step from P_1 to P_kappa is the integral of the
   Beta(a, b) density f over [q_1, q_kappa], and f does not increase there,
   so P_1(a, b_hi) + inc(a, b) bounds the cell (a, b) for b <= b_hi, where
@@ -63,7 +65,12 @@ cells are evaluated in d1 stripes whose per-cell arithmetic does not depend
 on stripe boundaries, so results are bit-identical for any worker count.
 Near kappa = 1 the pass's cost is per continued-fraction call, some 3-7 ms
 at the caps' shapes whatever the call's size, so each of its stages takes
-its bounds in as few calls as it can.
+its bounds in as few calls as it can, and the pass stops once the live
+cells number at most d1_max: evaluating them costs about one more call,
+and a further stage could only spend one. At full caps the pass makes no
+bound call at kappa = 0.9 and 1, where the seed leaves one row of 1,997
+cells, and six at 1.00005: four for the segment cut, one at the 16 x 16
+level and one in the increment stage.
 """
 
 from __future__ import annotations
@@ -75,7 +82,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fdist import _check_kappa, _probe, _threshold
+from .fdist import _check_df_max, _check_kappa, _probe, _threshold
 from .special import (
     BETA_DENSITY_REL_ERR,
     REG_INC_BETA_ABS_ERR,
@@ -141,7 +148,8 @@ _INCREMENT_MARGIN = REG_INC_BETA_ABS_ERR
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Integer search caps for the (d1, d2) grid; d2 starts at 3, as the mean needs d2 > 2."""
+    """Integer search caps for the (d1, d2) grid; d2 starts at 3, as the mean
+    needs d2 > 2, and each cap is at most 2 * special.SHAPE_MAX."""
 
     d1_max: int
     d2_max: int
@@ -154,6 +162,7 @@ class GridSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
+            _check_df_max(name, value)
 
 
 DEFAULT_GRID = GridSpec(1999, 1999)
@@ -252,6 +261,20 @@ def _segment_ends(cols, d2_max):
     return np.minimum((cols + 1) * _SEGMENT + 2, d2_max) / 2.0
 
 
+def _spread_ends(lo, hi, rows, budget):
+    """(row, segment) pairs to probe on rows, rows ascending: the ends
+    strictly between each row's lo and hi, all of them when they number at
+    most budget in all, else evenly spaced, as many per row as it takes to
+    reach budget in all (one is a bisection step)."""
+    span = hi[rows] - lo[rows]
+    n = span - 1
+    if n.sum() > budget:
+        n = np.minimum(n, -(-budget // rows.size))
+    k = np.repeat(np.arange(rows.size), n)
+    j = 1 + np.arange(k.size) - (np.cumsum(n) - n)[k]
+    return rows[k], lo[rows][k] + j * span[k] // (n[k] + 1)
+
+
 def _certified_segments(kappa, a, d2_max, limit, taken=None):
     """Count of each row a's leading segments certified above limit.
 
@@ -260,10 +283,12 @@ def _certified_segments(kappa, a, d2_max, limit, taken=None):
     computed bounds are monotone. One segment is taken for every row in one
     call (taken, when the caller has it): at kappa <= 1 the last, whose
     bound is the probe on column d2 = d2_max, so a row above limit there is
-    certified whole; above 1 the first. Each later call covers the rows not
-    yet decided: every segment end still open when they number at most
-    a.size, the cut then being a row's first end not above limit, or else
-    one bisection step.
+    certified whole; above 1 the first. Each later call probes ends still
+    open on the rows not yet decided, about a.size of them (see
+    _spread_ends), so the search takes few calls. Above 1, when the open
+    ends are more than that, the first of these calls takes each row's last
+    end: near kappa = 1 it certifies most rows whole (1,271 of 1,999 at
+    full caps and kappa = 1.00005).
     """
     n_seg = -(-(d2_max - 2) // _SEGMENT)
     known = n_seg - 1 if kappa <= 1.0 else 0
@@ -273,21 +298,19 @@ def _certified_segments(kappa, a, d2_max, limit, taken=None):
     # segment lo's bound is above limit (or lo = -1), hi's not (or hi = n_seg)
     lo = np.where(above, known, -1)
     hi = np.where(above, n_seg, known)
-    while (rows := np.flatnonzero(hi - lo > 1)).size:
-        open_ends = hi[rows] - lo[rows] - 1
-        if open_ends.sum() <= a.size:
-            # within one bisection step's budget: every open end in one call
-            starts = np.cumsum(open_ends) - open_ends
-            at = np.repeat(rows, open_ends)
-            seg = lo[at] + 1 + np.arange(at.size) - np.repeat(starts, open_ends)
-            above = _segment_bound(kappa, a[at], _segment_ends(seg, d2_max)) > limit
-            hi[rows] = np.minimum.reduceat(np.where(above, hi[at], seg), starts)
-            lo[rows] = hi[rows] - 1
-            break
-        mid = (lo[rows] + hi[rows]) // 2
-        above = _segment_bound(kappa, a[rows], _segment_ends(mid, d2_max)) > limit
-        lo[rows] = np.where(above, mid, lo[rows])
-        hi[rows] = np.where(above, hi[rows], mid)
+    rows = np.flatnonzero(hi - lo > 1)
+    if kappa > 1.0 and (hi - lo - 1)[rows].sum() > a.size:
+        # each undecided row's last end first
+        at, ends = rows, hi[rows] - 1
+    else:
+        at, ends = _spread_ends(lo, hi, rows, a.size)
+    while rows.size:
+        above = _segment_bound(kappa, a[at], _segment_ends(ends, d2_max)) > limit
+        starts = np.searchsorted(at, rows)
+        lo[rows] = np.maximum.reduceat(np.where(above, ends, lo[at]), starts)
+        hi[rows] = np.minimum.reduceat(np.where(above, hi[at], ends), starts)
+        rows = np.flatnonzero(hi - lo > 1)
+        at, ends = _spread_ends(lo, hi, rows, a.size)
     return lo + 1
 
 
@@ -366,7 +389,7 @@ def _increment(kappa, a, b):
     return dq * _grid_beta_density(_threshold(kappa, a, b), a, b)
 
 
-def _certify_increment(kappa, a, b, live, d2_max, limit, head):
+def _certify_increment(kappa, a, b, live, limit, d2_max, head):
     """Clear the entries of live, a rows x 4-column mask over rows a, whose
     cells all lie above limit by the increment bound, for kappa > 1.
 
@@ -413,6 +436,13 @@ def _certify_increment(kappa, a, b, live, d2_max, limit, head):
     live[rows[pair[dead]], cols[dead]] = False
 
 
+def _open_cells(live, n_cells):
+    """Cells in the live entries of a rows x 4-column mask over n_cells
+    columns, whose last entry may overhang them."""
+    overhang = _RUN * -(-n_cells // _RUN) - n_cells
+    return _RUN * np.count_nonzero(live) - overhang * np.count_nonzero(live[:, (n_cells - 1) // _RUN])
+
+
 def _live_blocks(kappa, grid, limit, column=None):
     """Grid rows x 4-column entries: True where the row's cells in the entry
     lie past its certified segments, the bounds of the 16 x 16 block and of
@@ -420,11 +450,13 @@ def _live_blocks(kappa, grid, limit, column=None):
     on rows with (kappa - 1)^2 a <= 1, the increment bound from the entry's
     first cell is too.
 
-    column, the probe on column d2 = d2_max when the caller has it, is read
-    at kappa <= 1, where it is each row's last segment bound. The block
-    level and the strip level each take their bounds in one call, only
-    where a live entry remains; the increment stage runs between them, so
-    the strip level skips the entries it certifies. Every bound is a
+    column is _seed's segment bound per row, taken here in a call of its
+    own when the caller does not have it. The block level and the strip
+    level each take their bounds in one call, only where a live entry
+    remains; the increment stage runs between them, so the strip level
+    skips the entries it certifies. Once the live cells number at most
+    a.size, the row count, no further stage runs: the stripes evaluate
+    those cells in about the time of one more bound call. Every bound is a
     probability, so at limit >= 1 the pass certifies nothing and is skipped.
     """
     a = np.arange(1, grid.d1_max + 1, dtype=np.int64) / 2.0
@@ -432,9 +464,15 @@ def _live_blocks(kappa, grid, limit, column=None):
     n_entries = -(-b.size // _RUN)
     if limit >= 1.0:
         return np.ones((a.size, n_entries), dtype=bool)
-    # one segment bound per row: the last at kappa <= 1, the first above
-    taken = column if kappa <= 1.0 else _segment_bound(kappa, a, _segment_ends(0, grid.d2_max))
-    segments = _certified_segments(kappa, a, grid.d2_max, limit, taken)
+    # the segment whose bound the seed takes on every row
+    known = -(-b.size // _SEGMENT) - 1 if kappa <= 1.0 else 0
+    if column is None:
+        column = _segment_bound(kappa, a, _segment_ends(known, grid.d2_max))
+    # what that bound certifies alone: each row whole at kappa <= 1, its
+    # first segment above 1
+    segments = np.where(column > limit, known + 1, 0)
+    if np.maximum(b.size - _SEGMENT * segments, 0).sum() > a.size:
+        segments = _certified_segments(kappa, a, grid.d2_max, limit, column)
     per_seg = _SEGMENT // _RUN
     # padded to whole blocks and whole segments; pad entries stay dead
     n_cols = -(-b.size // _SEGMENT) * per_seg
@@ -442,10 +480,13 @@ def _live_blocks(kappa, grid, limit, column=None):
     first[: a.size] = segments * per_seg
     live = np.arange(n_cols) >= first[:, None]
     live[:, n_entries:] = False
-    _bound_blocks(kappa, a, b, live, limit)
+    stages = [_bound_blocks, _bound_strips]
     if kappa > 1.0:
-        _certify_increment(kappa, a, b, live, grid.d2_max, limit, taken)
-    _bound_strips(kappa, a, b, live, limit)
+        stages.insert(1, lambda *args: _certify_increment(*args, grid.d2_max, column))
+    for stage in stages:
+        if _open_cells(live, b.size) <= a.size:
+            break
+        stage(kappa, a, b, live, limit)
     return live[: a.size, :n_entries]
 
 
@@ -467,29 +508,40 @@ def _scan_stripe(args):
 
 def _seed(kappa, grid):
     """(value, d1, d2) of the smallest cell on row d1 = 1 and column
-    d2 = d2_max, then the column's values, d1 ascending."""
+    d2 = d2_max, then one segment bound per row, d1 ascending: at kappa <= 1
+    the column's own values, each row's last segment bound; above 1 P_1 at
+    the end of each row's first segment, taken in the same call with kappa
+    = 1 at those elements, so its thresholds round as _segment_bound's do.
+    """
     d1s = np.arange(1, grid.d1_max + 1, dtype=np.int64)
     d2s = np.arange(3, grid.d2_max + 1, dtype=np.int64)
     a = np.concatenate([np.ones_like(d2s), d1s]) / 2.0
     b = np.concatenate([d2s, np.full_like(d1s, grid.d2_max)]) / 2.0
-    vals = _probe(kappa, a, b)
-    return (*_first_min(vals, a, b), vals[d2s.size :])
+    n_cells, k = a.size, kappa
+    if kappa > 1.0:
+        a = np.concatenate([a, d1s / 2.0])
+        b = np.concatenate([b, np.full(d1s.size, _segment_ends(0, grid.d2_max))])
+        k = np.where(np.arange(a.size) < n_cells, kappa, 1.0)
+    vals = _probe(k, a, b)
+    return (*_first_min(vals[:n_cells], a[:n_cells], b[:n_cells]), vals[-d1s.size :])
 
 
 def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, workers: Optional[int] = None) -> ProbeResult:
     """Exhaustive minimum of P(X <= kappa E[X]) over the capped integer grid.
 
     The smallest cell of row d1 = 1 and column d2 = d2_max seeds an
-    incumbent; at kappa <= 1 the column is each row's last segment bound
-    too, and the pass reads it. One pass in the calling process marks live
-    the cells whose block and strip bounds, row-segment bound and, for
-    kappa > 1, increment bound (see the module docstring) are all at most
-    the incumbent plus twice reg_inc_beta's absolute error: once for the
-    bound, once for a cell. The increment bound carries its own error
-    budget on top. A skipped cell is thus strictly above the incumbent, and
-    the result is the exhaustive scan's, bit for bit. Below, at and just
-    above kappa = 1 that rests on the paper's b-monotonicity theorem, which
-    the segment and increment bounds use.
+    incumbent. The same call takes one segment bound per row for the pass:
+    at kappa <= 1 the column is each row's last, and above 1 the call takes
+    each row's first at kappa = 1 beside the cells. One pass in the calling
+    process marks live the cells whose block and strip bounds, row-segment
+    bound and, for kappa > 1, increment bound (see the module docstring)
+    are all at most the incumbent plus twice reg_inc_beta's absolute error:
+    once for the bound, once for a cell; it stops early once at most d1_max
+    cells are live. The increment bound carries its own error budget on
+    top. A skipped cell is thus strictly above the incumbent, and the
+    result is the exhaustive scan's, bit for bit. Below, at and just above
+    kappa = 1 that rests on the paper's b-monotonicity theorem, which the
+    segment and increment bounds use.
 
     The live cells are evaluated in 128-row stripes, in a pool of at most
     workers processes, one per stripe, when workers > 1 and two or more

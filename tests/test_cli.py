@@ -460,11 +460,25 @@ PINNED_STDOUT = [
         "8,0.983723396540571,1,3,0.995322265018953,0.5,\n"
         "16,0.993834626861163,1,3,0.999936657516334,0.5,\n"
     ),
+    (
+        # full caps near kappa = 1, where the pruning pass and the limit
+        # curve's series tail do the most
+        ["inf", "--kappa", "1", "--format", "csv", "--d1-max", "1999", "--d2-max", "1999"],
+        "kappa,inf_value,d1,d2,limit_min,limit_argmin_a,flags\n"
+        "1,0.508925456895256,1999,1999,0.501329808342495,10000,exact-infimum-not-attained\n",
+    ),
+    (
+        ["inf", "--kappa", "1.00005", "--format", "csv", "--d1-max", "1999", "--d2-max", "1999"],
+        "kappa,inf_value,d1,d2,limit_min,limit_argmin_a,flags\n"
+        "1.00005,0.509371192208162,1999,1999,0.50325739937694,6556.41849417978,conjecture-kappa-gt-1\n",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, stdout", PINNED_STDOUT, ids=["inf-text", "inf-csv", "inf-json", "sweep", "table-csv-300"]
+    "argv, stdout",
+    PINNED_STDOUT,
+    ids=["inf-text", "inf-csv", "inf-json", "sweep", "table-csv-300", "inf-csv-1-full", "inf-csv-1.00005-full"],
 )
 def test_stdout_bytes_pinned(capsys, argv, stdout):
     assert cli.main(argv) == 0

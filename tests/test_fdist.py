@@ -25,6 +25,17 @@ class TestParams:
         with pytest.raises(ValueError):
             FParams(0, 5)
 
+    def test_degrees_of_freedom_at_most_twice_shape_max(self):
+        # 2e5 forms shape 1e5, special.SHAPE_MAX; one past it is rejected,
+        # naming the field, and so is 2e17, where prob_leq_kappa_mean
+        # returned 1.0 (true value 0.6084) with only a RuntimeWarning.
+        # The Python int is compared, so 10**400 cannot overflow the check
+        assert FParams(200_000, 200_000).shape() == ShapePair(1e5, 1e5)
+        for d1, d2, field in [(200_001, 5, "d1"), (3, 200_001, "d2"), (3, 2 * 10**17, "d2"),
+                              (10**400, 5, "d1"), (np.int64(200_001), 5, "d1")]:
+            with pytest.raises(ValueError, match=f"^{field} must be at most 200000:"):
+                FParams(d1, d2)
+
     def test_shape_pair_invariants(self):
         with pytest.raises(ValueError):
             ShapePair(0.4, 2.0)

@@ -41,6 +41,16 @@ class TestGridSpec:
         with pytest.raises(TypeError):
             GridSpec(5, 5, d2_min=4)
 
+    def test_caps_at_most_twice_shape_max(self):
+        # a cap past 2e5 forms shapes past special.SHAPE_MAX, where no
+        # accuracy is held; the Python int is compared, so 10**400 cannot
+        # overflow the check
+        assert GridSpec(200_000, 200_000).d2_max == 200_000
+        for caps, field in [((200_001, 5), "d1_max"), ((5, 200_001), "d2_max"), ((5, 2 * 10**17), "d2_max"),
+                            ((10**400, 5), "d1_max")]:
+            with pytest.raises(ValueError, match=f"^{field} must be at most 200000:"):
+                GridSpec(*caps)
+
 
 class TestGridInfimum:
     def test_matches_exhaustive_scalar_scan(self):
@@ -207,13 +217,15 @@ class TestGridInfimum:
         monkeypatch.setattr(probe, "_segment_bound", unreachable)
         self.test_pruned_search_matches_full_grid(1e15)
 
-    @pytest.mark.parametrize("kappa", [1.0, 1.00005, 1.001])
+    @pytest.mark.parametrize("kappa", [1.0, 1.00005, 1.001, 1.005])
     def test_pruning_pass_spends_nothing_on_certified_cells(self, monkeypatch, kappa):
-        # one bound call per level, blocks then strips; each block or strip
-        # it bounds ends inside the grid and holds a cell the row-segment
-        # bound left uncertified, and no certified cell is live. Near
-        # kappa = 1 the rows' certified prefixes differ, so blocks straddle
-        # them
+        # one bound call per level it runs, blocks then strips; each block or
+        # strip it bounds ends inside the grid and holds a cell the
+        # row-segment bound left uncertified, and no certified cell is live.
+        # Near kappa = 1 the rows' certified prefixes differ, so blocks
+        # straddle them. Once at most 300 cells (the rows) are left, the pass
+        # runs no further level: at kappa = 1 the segment cut leaves 14
+        # cells, at 1.00005 and 1.001 the increment stage leaves 14 and 62
         grid = GridSpec(300, 400)
         limit = probe._seed(kappa, grid)[0] + probe._PRUNE_MARGIN
         a = np.arange(1, grid.d1_max + 1) / 2.0
@@ -229,7 +241,7 @@ class TestGridInfimum:
 
         monkeypatch.setattr(probe, "_block_bound", recording)
         live = probe._live_blocks(kappa, grid, limit)
-        assert len(taken) == 2
+        assert len(taken) == {1.0: 0, 1.00005: 1, 1.001: 1, 1.005: 2}[kappa]
         for a_lo, a_hi, b_hi in taken:
             assert (a_hi <= a[-1]).all() and (b_hi <= b[-1]).all()
             rows = zip((2.0 * a_lo).astype(int) - 1, (2.0 * a_hi).astype(int))
@@ -338,16 +350,17 @@ class TestGridInfimum:
 
     @pytest.mark.parametrize(
         "kappa, in_pass, in_stage",
-        [(0.9, 1, 0), (1.0, 1, 0), (1.00005, None, 1), (1.001, None, 1), (1.05, None, 1), (1.5, 1, 0)],
+        [(0.9, 0, 0), (1.0, 0, 0), (1.00005, None, 1), (1.001, None, 1), (1.05, None, 1), (1.5, 0, 0)],
     )
     def test_pruning_pass_counts_its_segment_calls(self, monkeypatch, kappa, in_pass, in_stage):
         # a count, so deterministic, at full caps: each call costs some 3-7 ms
-        # of numpy overhead whatever its size. At kappa <= 1 the seed's column
-        # certifies all rows but a few whole and one call takes every open
-        # end of those (it took 6); the increment stage takes P_1 in one call
-        # at every run end its head check leaves open, on the lemma's rows;
-        # at 1.5 the pass takes only the first segments and the stage spends
-        # no call
+        # of numpy overhead whatever its size. The seed's call takes one
+        # segment bound per row. At kappa <= 1 it certifies all rows but one
+        # whole, whose 1,997 cells are evaluated with no bound taken (the
+        # pass took 6 calls, then 1). At 1.5 the first segment certifies no
+        # row and the pass takes none. The increment stage takes P_1 in one
+        # call at every run end its head check leaves open, on the lemma's
+        # rows (test_segment_cut_counts_its_calls counts the cut's calls)
         calls, stage_calls = [], []
         segment_bound, certify_increment = probe._segment_bound, probe._certify_increment
 
@@ -367,6 +380,30 @@ class TestGridInfimum:
             assert len(calls) == in_pass
         assert sum(stage_calls) == in_stage
 
+    @pytest.mark.parametrize("kappa, calls", [(1.00005, 4), (1.001, 5), (1.005, 5), (1.05, 1)])
+    def test_segment_cut_counts_its_calls(self, monkeypatch, kappa, calls):
+        # a count, so deterministic, at full caps, after the seed's first
+        # segment: the cut takes each open row's last end, which at 1.00005
+        # certifies 1,271 of the 1,999 rows whole, then about 2,000 open
+        # ends a call; at 1.05, 124 open ends fit in one call, and no last
+        # end is taken first. The bisection took 5, 5, 5 and 1 calls
+        taken = []
+        segment_bound = probe._segment_bound
+
+        def counting(*args):
+            taken.append(np.size(args[1]))
+            return segment_bound(*args)
+
+        grid = GridSpec(1999, 1999)
+        *seed, column = probe._seed(kappa, grid)
+        monkeypatch.setattr(probe, "_segment_bound", counting)
+        a = np.arange(1, grid.d1_max + 1) / 2.0
+        segments = probe._certified_segments(kappa, a, grid.d2_max, seed[0] + probe._PRUNE_MARGIN, column)
+        assert len(taken) == calls
+        assert max(taken) <= 2 * a.size
+        if kappa == 1.00005:
+            assert taken[0] == a.size and np.count_nonzero(segments == 32) == 1271
+
     @pytest.mark.parametrize("kappa", [0.5, 0.9, 1.0])
     @pytest.mark.parametrize("grid", [GridSpec(1999, 1999), GridSpec(300, 400), GridSpec(77, 131)])
     def test_seed_column_is_the_last_segment_bound(self, kappa, grid):
@@ -377,6 +414,39 @@ class TestGridInfimum:
         last = probe._segment_bound(kappa, a, probe._segment_ends(n_seg - 1, grid.d2_max))
         column = probe._seed(kappa, grid)[3]
         assert list(map(float.hex, column.tolist())) == list(map(float.hex, last.tolist()))
+
+    @pytest.mark.parametrize("kappa", [1.00005, 1.001, 1.05, 1.5, 16.0])
+    @pytest.mark.parametrize("grid", [GridSpec(1999, 1999), GridSpec(300, 400), GridSpec(77, 60)])
+    def test_seed_carries_the_first_segment_bound(self, kappa, grid):
+        # above 1 the seed's call takes P_1 at each row's first segment end
+        # beside its cells, with kappa = 1 at those elements: hex for hex
+        # the pass's own _segment_bound, its column d2 = d2_max unread
+        a = np.arange(1, grid.d1_max + 1) / 2.0
+        first = probe._segment_bound(kappa, a, probe._segment_ends(0, grid.d2_max))
+        carried = probe._seed(kappa, grid)[3]
+        assert list(map(float.hex, carried.tolist())) == list(map(float.hex, first.tolist()))
+
+    def test_kappa_one_evaluates_its_last_row_with_no_bound(self, monkeypatch):
+        # at full caps the seed's column certifies every row but d1 = 1999
+        # whole; its 1,997 cells are at most the 1,999 rows, so the pass
+        # takes no segment or block bound and the stripe evaluates them in
+        # one call, where the bounds took three calls to leave 13
+        evaluated = []
+        min_cell = probe._min_cell
+
+        def unreachable(*args):
+            raise AssertionError("bound taken at kappa = 1")
+
+        def counting(kappa, a, b):
+            evaluated.append(a.size)
+            return min_cell(kappa, a, b)
+
+        monkeypatch.setattr(probe, "_segment_bound", unreachable)
+        monkeypatch.setattr(probe, "_block_bound", unreachable)
+        monkeypatch.setattr(probe, "_min_cell", counting)
+        res = grid_infimum(1.0, GridSpec(1999, 1999))
+        assert (res.argmin_d1, res.argmin_d2) == (1999, 1999)
+        assert evaluated == [1997]
 
     @pytest.mark.parametrize("kappa", [0.5, 0.9, 1.0, 1.00005, 1.05, 1.5])
     def test_seed_column_moves_no_live_entry(self, kappa):
@@ -535,7 +605,9 @@ class TestGridInfimum:
 
         monkeypatch.setattr(probe, "_block_bound", recording)
         clamped_rows = clamped_cols = 0
-        for kappa, grid in [(0.5, GridSpec(301, 405)), (1.5, GridSpec(137, 1001)), (16.0, GridSpec(299, 399))]:
+        # at kappa = 0.5 the segment cut leaves more cells than rows on
+        # (509, 405), so both levels run; on (301, 405) it leaves 19
+        for kappa, grid in [(0.5, GridSpec(509, 405)), (1.5, GridSpec(137, 1001)), (16.0, GridSpec(299, 399))]:
             taken.clear()
             limit = probe._seed(kappa, grid)[0] + probe._PRUNE_MARGIN
             probe._live_blocks(kappa, grid, limit)

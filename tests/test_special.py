@@ -15,7 +15,7 @@ from fconc import (
     reg_lower_gamma,
 )
 
-from fconc import fdist, special
+from fconc import fdist, probe, special
 from fconc.special import _CHUNK, REG_INC_BETA_ABS_ERR
 
 from conftest import PROBE_KAPPAS, seeded_triples
@@ -321,7 +321,72 @@ class TestRegIncBeta:
             assert abs(float(ref - reg_inc_beta(0.5, a, a))) <= err
 
 
+def _series_by_steps(a, x):
+    """(sum, steps) of the lower-gamma series at floats a and x, one step at
+    a time in the order _gamma_series_step takes it; sum is None when the
+    series does not converge within _CF_MAX_ITER steps."""
+    ap, h = a, 1.0 / a
+    delt = h
+    for m in range(1, special._CF_MAX_ITER + 1):
+        ap += 1.0
+        delt = delt * (x / ap)
+        h = h + delt
+        if abs(delt) < abs(h) * special._CF_TOLERANCE:
+            return h, m
+    return None, special._CF_MAX_ITER
+
+
 class TestRegLowerGamma:
+    def test_blocked_series_is_the_step(self, monkeypatch):
+        # the series finishes in blocks of _SERIES_BLOCK terms once at most
+        # that many elements run: the default a-grid's 60-point tail near
+        # kappa = 1, the 40-element calls whole, and the random sample's
+        # slowest. Every value is the scalar loop's, hex for hex
+        block, blocks = special._gamma_series_block, []
+
+        def recording(s, n, tol):
+            blocks.append(s.h.size)
+            return block(s, n, tol)
+
+        monkeypatch.setattr(special, "_gamma_series_block", recording)
+        a_grid = probe.default_a_grid()
+        g = np.random.default_rng(7)
+        a_rand = np.exp(g.uniform(np.log(0.5), np.log(2e4), 400))
+        cases = [(a_grid, kappa * a_grid) for kappa in PROBE_KAPPAS]
+        cases += [(a_rand, a_rand * g.uniform(0.2, 1.0, a_rand.size))]
+        cases += [(a_rand[i : i + 40], a_rand[i : i + 40]) for i in (0, 200)]
+        for a, x in cases:
+            series = x < a + 1.0
+            if not series.any():
+                continue
+            a, x = a[series], x[series]
+            sums = [_series_by_steps(ai, xi)[0] for ai, xi in zip(a, x)]
+            want = np.clip(np.array(sums) * special._gamma_prefactor(a, x), 0.0, 1.0)
+            blocks.clear()
+            assert reg_lower_gamma(a, x).tobytes() == want.tobytes()
+            assert blocks and max(blocks) <= special._SERIES_BLOCK
+    def test_blocked_series_names_first_failure(self, monkeypatch):
+        # at a cap of 100 steps, (200, 200), which needs 123, and (4000,
+        # 4000) and (5000, 5000) fail among elements that converge within
+        # it, in a call that starts step by step and in one blocked
+        # throughout: the lowest-index failure is named, with the scalar
+        # loop's iterations and arguments, and a block past the cap would
+        # have let (200, 200) through
+        monkeypatch.setattr(special, "_CF_MAX_ITER", 100)
+        for n in (200, 10):
+            a = np.linspace(0.5, 20.0, n)
+            x = 0.5 * a
+            failing = [n // 3, n // 2, n - 3]
+            a[failing] = x[failing] = (200.0, 4000.0, 5000.0)
+            assert [i for i in range(n) if _series_by_steps(a[i], x[i])[0] is None] == failing
+            with pytest.raises(ConvergenceError) as err:
+                reg_lower_gamma(a, x)
+            assert err.value.iterations == 100
+            assert err.value.args_at_failure == (200.0, 200.0)
+            assert str(err.value) == (
+                "lower incomplete gamma series: not converged after 100 iterations; first offender a=200.0, x=200.0"
+            )
+
     def test_exponential_special_case(self):
         assert reg_lower_gamma(1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-13)
 
