@@ -10,7 +10,21 @@ Three ingredients:
   I_{q(a_lo, b_hi)}(a_hi, b_lo) bounds a block of cells. It is taken on
   16 x 16 blocks, then, inside the ones nothing else certified, on strips
   that collapse the side with the larger relative span: one-row strips
-  where the block's a_lo <= b_lo, one-column strips elsewhere. Segment
+  where the block's a_lo <= b_lo, one-column strips elsewhere. Far from
+  kappa = 1 most block and strip bounds are 1 less a small tail, and a
+  closed form settles them before any continued fraction: the tail
+  1 - I_x(a, b) = I_{1-x}(b, a) is at most e^ln_pre / (b (1 - r)), where
+  ln_pre = a ln x + b ln(1-x) - ln B(a, b) and r = (1-x) max((a+b)/(b+1), 1)
+  bounds every term ratio of its hypergeometric series (DLMF 8.17.8), and
+  Stirling's bounds on ln Gamma (DLMF 5.6.1) bound ln_pre with no ln B
+  (special._tail_bound). It is taken on the symmetry branch
+  x > (a+1)/(a+b+2) with r < 0.999, and grown by its relative error,
+  BETA_DENSITY_REL_ERR. A bound it puts above the limit plus
+  REG_INC_BETA_ABS_ERR is one the continued fraction would put above the
+  limit too, so it changes no decision; the others take the continued
+  fraction. At full caps it leaves 2,179, 487 and 270 of the two levels'
+  30,729, 20,057 and 19,609 bounds to it at kappa = 1.5, 3.005 and 16, and
+  none lies on the symmetry branch at 1.001 and 1.005. Segment
   bound: q increases in kappa, so P_kappa >= P_min(kappa, 1) cell by cell,
   and by the paper's theorem P_k' strictly decreases in b for k' <= 1, so
   P_min(kappa, 1)(a, b_hi) bounds every cell of a row up to b_hi: a row's
@@ -26,7 +40,8 @@ Three ingredients:
   inc(a, b) = (q_kappa - q_1) * f(q_kappa). On rows with
   (kappa - 1)^2 a <= 1, inc does not decrease in b (the lemma below), so
   the increment at a run's first cell bounds the whole run; one call
-  takes P_1 at every segment end the stage needs.
+  takes P_1 at every segment end the stage needs. Above kappa = 1 it runs
+  before the block levels, so they bound only what it leaves.
   The block bounds prune far from kappa = 1, the segment bound at and
   below it, and the increment bound just above it. A cell is skipped only
   when a bound, less its error budget, exceeds an evaluated cell's value
@@ -69,8 +84,8 @@ its bounds in as few calls as it can, and the pass stops once the live
 cells number at most d1_max: evaluating them costs about one more call,
 and a further stage could only spend one. At full caps the pass makes no
 bound call at kappa = 0.9 and 1, where the seed leaves one row of 1,997
-cells, and six at 1.00005: four for the segment cut, one at the 16 x 16
-level and one in the increment stage.
+cells, and five at 1.00005: four for the segment cut and one in the
+increment stage, after which too few cells are live for a block level.
 """
 
 from __future__ import annotations
@@ -88,6 +103,7 @@ from .special import (
     REG_INC_BETA_ABS_ERR,
     ConvergenceError,
     _grid_beta_density,
+    _tail_bound,
     reg_inc_beta,
     reg_lower_gamma,
 )
@@ -220,6 +236,34 @@ def _block_bound(kappa, a_lo, a_hi, b_lo, b_hi):
     return reg_inc_beta(_threshold(kappa, a_lo, b_hi), a_hi, b_lo)
 
 
+def _screen(kappa, a_lo, a_hi, b_lo, b_hi):
+    """Lower bound of the probe over each block, as _block_bound's, formed
+    with no continued fraction: 1 - t (1 + BETA_DENSITY_REL_ERR), where t is
+    special._tail_bound at the same corner, an upper bound of the exact tail
+    1 - I_x(a_hi, b_lo) within its relative error; below 0 where t is not
+    taken. Flat arrays.
+    """
+    return 1.0 - _tail_bound(_threshold(kappa, a_lo, b_hi), a_hi, b_lo) * (1.0 + BETA_DENSITY_REL_ERR)
+
+
+def _bounds_above(kappa, limit, where, *corners):
+    """Mask of the blocks at where's True entries, with corners a_lo, a_hi,
+    b_lo, b_hi given by arrays of where's shape, whose block bound exceeds
+    limit, as _block_bound alone decides it; False off where.
+
+    A block whose _screen exceeds limit + REG_INC_BETA_ABS_ERR has an exact
+    bound above that, so the continued fraction, within that error of it,
+    exceeds limit too: the screen decides those blocks as _block_bound
+    would, and _block_bound takes the rest in one call. Each call gathers
+    its own corners, so the screen's are freed before the fraction runs.
+    """
+    rest = where.copy()
+    rest[where] = _screen(kappa, *(side[where] for side in corners)) <= limit + REG_INC_BETA_ABS_ERR
+    above = where & ~rest
+    above[rest] = _block_bound(kappa, *(side[rest] for side in corners)) > limit
+    return above
+
+
 @contextmanager
 def _naming_cell(kappa):
     """Re-raise a ConvergenceError naming kappa and the cell; only grid_infimum enters it."""
@@ -335,7 +379,8 @@ def _bound_blocks(kappa, a, b, live, limit):
     limit, in one call over the blocks that hold a live entry."""
     held = _held_blocks(live)
     rows, cols = np.nonzero(held)
-    held[rows, cols] = _block_bound(kappa, *_block_corners(a, b, rows, cols)) <= limit
+    corners = _block_corners(a, b, rows, cols)
+    held[rows, cols] = ~_bounds_above(kappa, limit, np.ones(rows.size, dtype=bool), *corners)
     block_rows = live.reshape(-1, _BLOCK, live.shape[1])
     block_rows &= held.repeat(_BLOCK // _RUN, axis=1)[:, None, :]
 
@@ -367,8 +412,7 @@ def _bound_strips(kappa, a, b, live, limit):
     a_i, b_i = a_lo + step, np.minimum(b_lo + step, b[-1])
     strips = [np.where(by_row, *ends) for ends in [(a_i, a_lo), (a_i, a_hi), (b_lo, b_i), (b_hi, b_i)]]
     holds = np.where(by_row, sub.any(axis=0), sub.any(axis=1).repeat(_RUN, axis=0))
-    above = ~holds
-    above[holds] = _block_bound(kappa, *(side[holds] for side in strips)) > limit
+    above = ~holds | _bounds_above(kappa, limit, holds, *strips)
     by_col = above.reshape(per_block, _RUN, -1).all(axis=1)[:, None, :]
     blocks[:, :, rows, cols] = sub & ~np.where(by_row, above, by_col)
 
@@ -452,9 +496,10 @@ def _live_blocks(kappa, grid, limit, column=None):
 
     column is _seed's segment bound per row, taken here in a call of its
     own when the caller does not have it. The block level and the strip
-    level each take their bounds in one call, only where a live entry
-    remains; the increment stage runs between them, so the strip level
-    skips the entries it certifies. Once the live cells number at most
+    level each bound, in one call, only where a live entry remains, the
+    closed-form screen first and the continued fraction on what it leaves
+    (_bounds_above). For kappa > 1 the increment stage runs before them,
+    so they skip the entries it certifies. Once the live cells number at most
     a.size, the row count, no further stage runs: the stripes evaluate
     those cells in about the time of one more bound call. Every bound is a
     probability, so at limit >= 1 the pass certifies nothing and is skipped.
@@ -482,7 +527,7 @@ def _live_blocks(kappa, grid, limit, column=None):
     live[:, n_entries:] = False
     stages = [_bound_blocks, _bound_strips]
     if kappa > 1.0:
-        stages.insert(1, lambda *args: _certify_increment(*args, grid.d2_max, column))
+        stages.insert(0, lambda *args: _certify_increment(*args, grid.d2_max, column))
     for stage in stages:
         if _open_cells(live, b.size) <= a.size:
             break
@@ -635,7 +680,7 @@ def infimum(kappa, grid: GridSpec = DEFAULT_GRID, a_grid=None, workers: Optional
     evidence beside the closed forms. The scan prunes with the paper's
     b-monotonicity theorem at kappa <= 1 and, through the increment bound,
     at kappa > 1 near 1 (at full caps it certifies 94.4% of the grid at
-    1.005 and 35.3% at 1.05), so the grid minimum leans on the theorem there;
+    1.005 and 39.1% at 1.05), so the grid minimum leans on the theorem there;
     verify.check_monotone_b keeps testing it on its own sample.
     """
     if a_grid is None:

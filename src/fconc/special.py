@@ -80,7 +80,19 @@ SHAPE_MAX = 1e5
 # so it carries an absolute error of a few ulps of 1e3, which exp turns into
 # a relative one. Over the cells the increment bound sees at caps 1999 and
 # kappa = 1.00005 to 1.05, mpmath measured at most 8e-13; tests check it.
+# _tail_bound's log sums terms of the same size, and the same budget holds
+# it; tests check it.
 BETA_DENSITY_REL_ERR = 1e-11
+
+# Largest term ratio r at which _tail_bound sums its series as a geometric
+# one, whose sum 1 / (1 - r) is then at most 1000.
+_TAIL_RATIO_MAX = 0.999
+
+# Least log _tail_bound exponentiates. Raising it only raises the bound,
+# and e^-650 = 5e-283 divided by b <= SHAPE_MAX stays a normal number, so no
+# bound loses precision to underflow, and no exp takes numpy's slow path for
+# subnormal and zero results.
+_LN_TAIL_FLOOR = -650.0
 
 # Terms per block, and most live elements, of the lower-gamma series'
 # blocked finish (see _converge), so a block is at most 64 x 64. Near
@@ -416,6 +428,48 @@ def reg_inc_beta(x, a, b):
         out[i] = np.clip(vals, 0.0, 1.0)
 
     return _finish(out, shape, scalar)
+
+
+def _tail_bound(x, a, b):
+    """Upper bound of the tail 1 - I_x(a, b) over flat arrays x, a, b of one
+    length, formed with no continued fraction and no ln B; 1.0, the trivial
+    bound, where it is not taken.
+
+    The tail is I_{1-x}(b, a), which DLMF 8.17.8 writes as
+        x^a (1-x)^b / (b B(a, b)) * F(a+b, 1; b+1; 1-x).
+    The series' term ratios, (a+b+n) / (b+1+n) * (1-x), are all at most
+    r = (1-x) max((a+b) / (b+1), 1): they fall toward 1 - x when a >= 1 and
+    rise toward it when a < 1. So for r < 1 the series is at most 1 / (1-r);
+    at a = 1 it is geometric, and that bound exact. By DLMF 5.6.1,
+    ln Gamma(z) exceeds Stirling's (z - 1/2) ln z - z + ln(2 pi)/2 by
+    between 0 and 1/(12 z), so ln B(a, b) exceeds Stirling's form of it by
+    more than -1/(12 (a+b)), and with m = a / (a+b)
+        ln(x^a (1-x)^b / B(a, b)) < u = a ln(x/m) + b ln((1-x)/(1-m))
+                                        + ln(a b / (2 pi (a+b))) / 2
+                                        + 1/(12 (a+b)).
+    The bound is e^u / (b (1-r)), within a factor of about
+    e^(1/(12a) + 1/(12b)) of the tail's own series bound. It is taken where
+    x lies on reg_inc_beta's symmetry branch, x > (a+1)/(a+b+2), where the
+    tail is the small side, with x < 1 and r < _TAIL_RATIO_MAX.
+
+    u is raised to _LN_TAIL_FLOOR before its exp, which keeps every bound a
+    normal number; unraised, one that underflowed to a subnormal could read
+    below the tail (5e-324 against 1e-323), though 1 less either rounds to
+    1.0. The bound's relative error is within BETA_DENSITY_REL_ERR for
+    a, b up to ~1000: u's logs take arguments rounded a few times, each
+    moving a term by a few ulps of a or b, and the terms, of size up to
+    ~1e3, round by a few ulps of that, as the density's log does; the
+    rounding of r moves 1 / (1-r) by a few ulps times 1 / (1-r) <= 1000.
+    """
+    ab = a + b
+    r = (1.0 - x) * np.maximum(ab / (b + 1.0), 1.0)
+    i = np.flatnonzero((x > (a + 1.0) / (ab + 2.0)) & (x < 1.0) & (r < _TAIL_RATIO_MAX))
+    x, a, b, ab = x[i], a[i], b[i], ab[i]
+    u = (a * np.log(x * ab / a) + b * np.log((1.0 - x) * ab / b)
+         + 0.5 * np.log(a * b / (2.0 * math.pi * ab)) + 1.0 / (12.0 * ab))
+    out = np.ones(r.size)
+    out[i] = np.exp(np.maximum(u, _LN_TAIL_FLOOR)) / (b * (1.0 - r[i]))
+    return out
 
 
 def _ln_beta_any(a, b):

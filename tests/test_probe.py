@@ -144,6 +144,69 @@ class TestGridInfimum:
         cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
         assert bound <= cells.min() + REG_INC_BETA_ABS_ERR
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kappa=st.one_of(st.sampled_from(PROBE_KAPPAS), st.floats(0.5, 4.0), st.floats(4.0, 20.0)),
+        d1_lo=st.integers(1, 1984),
+        d2_lo=st.integers(3, 1984),
+        rows=st.integers(1, 16),
+        cols=st.integers(1, 16),
+    )
+    def test_screen_below_every_cell(self, kappa, d1_lo, d2_lo, rows, cols):
+        # the closed-form screen's value over a block, wherever its tail
+        # bound is taken, as test_block_bound_below_every_cell
+        a = np.arange(d1_lo, d1_lo + rows)[:, None] / 2.0
+        b = np.arange(d2_lo, d2_lo + cols)[None, :] / 2.0
+        screen = probe._screen(kappa, *(np.array([side]) for side in (a[0, 0], a[-1, 0], b[0, 0], b[0, -1])))
+        cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
+        assert screen[0] <= cells.min() + REG_INC_BETA_ABS_ERR
+
+    @pytest.mark.parametrize("kappa", [1.3, 1.5, 3.005, 16.0])
+    def test_screen_moves_no_live_entry(self, monkeypatch, kappa):
+        # the screen decides a bound only where the continued fraction would
+        # decide it the same way, so the mask is the one the fraction alone
+        # gives, and the screen takes most of the bounds here
+        grid = GridSpec(300, 400)
+        limit = probe._seed(kappa, grid)[0] + probe._PRUNE_MARGIN
+        taken = []
+        block_bound = probe._block_bound
+
+        def recording(kappa, a_lo, *rest):
+            taken.append(a_lo.size)
+            return block_bound(kappa, a_lo, *rest)
+
+        monkeypatch.setattr(probe, "_block_bound", recording)
+        screened = probe._live_blocks(kappa, grid, limit)
+        by_screen = sum(taken)
+        taken.clear()
+        monkeypatch.setattr(probe, "_screen", lambda kappa, a_lo, *rest: np.zeros(a_lo.size))
+        assert (screened == probe._live_blocks(kappa, grid, limit)).all()
+        assert by_screen < 0.5 * sum(taken)
+
+    @pytest.mark.parametrize("kappa", [1.5, 3.005, 16.0])
+    def test_screen_leaves_few_bounds_to_the_fraction(self, monkeypatch, kappa):
+        # a count, so deterministic, at full caps: of the two levels' 30,729,
+        # 20,057 and 19,609 bounds at 1.5, 3.005 and 16, the continued
+        # fraction takes 2,179, 487 and 270
+        screened, fraction = [], []
+        screen, block_bound = probe._screen, probe._block_bound
+
+        def counting(kappa, a_lo, *rest):
+            screened.append(a_lo.size)
+            return screen(kappa, a_lo, *rest)
+
+        def recording(kappa, a_lo, *rest):
+            fraction.append(a_lo.size)
+            return block_bound(kappa, a_lo, *rest)
+
+        monkeypatch.setattr(probe, "_screen", counting)
+        monkeypatch.setattr(probe, "_block_bound", recording)
+        grid = GridSpec(1999, 1999)
+        *seed, column = probe._seed(kappa, grid)
+        probe._live_blocks(kappa, grid, seed[0] + probe._PRUNE_MARGIN, column)
+        assert len(screened) == len(fraction) == 2
+        assert sum(fraction) <= 0.1 * sum(screened)
+
     @pytest.mark.parametrize("kappa", [1.001, 1.005])
     def test_segment_pruned_search_matches_full_grid(self, kappa):
         # near-one rows where the segment bound prunes part of the grid but
@@ -225,7 +288,8 @@ class TestGridInfimum:
         # Near kappa = 1 the rows' certified prefixes differ, so blocks
         # straddle them. Once at most 300 cells (the rows) are left, the pass
         # runs no further level: at kappa = 1 the segment cut leaves 14
-        # cells, at 1.00005 and 1.001 the increment stage leaves 14 and 62
+        # cells, and at 1.00005 and 1.001 the increment stage, which runs
+        # ahead of both levels above 1, leaves 14 and 62
         grid = GridSpec(300, 400)
         limit = probe._seed(kappa, grid)[0] + probe._PRUNE_MARGIN
         a = np.arange(1, grid.d1_max + 1) / 2.0
@@ -241,7 +305,7 @@ class TestGridInfimum:
 
         monkeypatch.setattr(probe, "_block_bound", recording)
         live = probe._live_blocks(kappa, grid, limit)
-        assert len(taken) == {1.0: 0, 1.00005: 1, 1.001: 1, 1.005: 2}[kappa]
+        assert len(taken) == {1.0: 0, 1.00005: 0, 1.001: 0, 1.005: 2}[kappa]
         for a_lo, a_hi, b_hi in taken:
             assert (a_hi <= a[-1]).all() and (b_hi <= b[-1]).all()
             rows = zip((2.0 * a_lo).astype(int) - 1, (2.0 * a_hi).astype(int))
@@ -450,9 +514,10 @@ class TestGridInfimum:
 
     @pytest.mark.parametrize("kappa", [0.5, 0.9, 1.0, 1.00005, 1.05, 1.5])
     def test_seed_column_moves_no_live_entry(self, kappa):
-        # the column saves calls at kappa <= 1 and is not read above 1,
-        # where it bounds no segment; the mask is the one the pass forms
-        # without it
+        # the slot saves a call either way: at kappa <= 1 it holds the
+        # column, each row's last segment bound, and above 1 P_1 at each
+        # row's first segment end; the mask is the one the pass forms when
+        # it takes that bound in a call of its own
         grid = GridSpec(300, 400)
         *seed, column = probe._seed(kappa, grid)
         limit = seed[0] + probe._PRUNE_MARGIN

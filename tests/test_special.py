@@ -123,6 +123,68 @@ class TestGridBetaDensity:
         assert (flat.view(np.int64) == want.ravel().view(np.int64)).all()
 
 
+def _tail_sample(seed, n):
+    """(x, a, b) with a, b in [0.5, 1000], a tenth at a = 1, where the tail's
+    series is geometric, and a tenth at a < 1, and x in the tail bound's
+    domain: on the symmetry branch with r below _TAIL_RATIO_MAX. 1 - x is
+    spread log-wise below its largest value there, so tails run from about
+    1/2 down past the underflow threshold."""
+    g = np.random.default_rng(seed)
+    a = np.exp(g.uniform(math.log(0.5), math.log(1000.0), n))
+    a[: n // 10] = 1.0
+    a[n // 10 : n // 5] = g.uniform(0.5, 1.0, n // 10)
+    b = np.exp(g.uniform(math.log(0.5), math.log(1000.0), n))
+    ratio = np.maximum((a + b) / (b + 1.0), 1.0)
+    y_max = np.minimum(1.0 - (a + 1.0) / (a + b + 2.0), special._TAIL_RATIO_MAX / ratio)
+    return 1.0 - 0.999 * y_max * np.exp(-g.exponential(g.choice([0.3, 3.0, 30.0], n))), a, b
+
+
+class TestTailBound:
+    def test_bound_against_mpmath(self):
+        # the bound, grown by its allowance, is at least the tail, which
+        # mpmath takes directly as I_{1-x}(b, a), never as 1 - I. Measured on
+        # this sample before the allowance, where the bound is below 1 (86%
+        # of it) and the tail normal: the least ratio is 1.0004 and the
+        # median 1.09. Every bound is a normal number, the underflowed
+        # tails' included
+        mpmath = pytest.importorskip("mpmath")
+        x, a, b = _tail_sample(7, 600)
+        bound = special._tail_bound(x, a, b)
+        assert (bound < 1.0).mean() > 0.8
+        with mpmath.workdps(40):
+            for xi, ai, bi, ti in zip(x.tolist(), a.tolist(), b.tolist(), bound.tolist()):
+                tail = mpmath.betainc(bi, ai, 0, 1 - mpmath.mpf(xi), regularized=True)
+                assert ti >= sys.float_info.min
+                assert ti * (1.0 + special.BETA_DENSITY_REL_ERR) >= tail, (xi, ai, bi)
+
+    def test_rounding_within_allowance(self):
+        # the computed bound against the same closed form in mpmath, at the
+        # same double x, a and b: its rounding alone, which the allowance
+        # covers (measured on this sample: 2.0e-13)
+        mpmath = pytest.importorskip("mpmath")
+        x, a, b = _tail_sample(9, 400)
+        bound = special._tail_bound(x, a, b)
+        with mpmath.workdps(40):
+            for xi, ai, bi, ti in zip(x.tolist(), a.tolist(), b.tolist(), bound.tolist()):
+                if ti == 1.0:
+                    continue
+                xm, am, bm = mpmath.mpf(xi), mpmath.mpf(ai), mpmath.mpf(bi)
+                u = (am * mpmath.log(xm * (am + bm) / am) + bm * mpmath.log((1 - xm) * (am + bm) / bm)
+                     + mpmath.log(am * bm / (2 * mpmath.pi * (am + bm))) / 2 + 1 / (12 * (am + bm)))
+                r = (1 - xm) * max((am + bm) / (bm + 1), 1)
+                exact = mpmath.exp(max(u, special._LN_TAIL_FLOOR)) / (bm * (1 - r))
+                assert abs(ti - exact) <= 0.1 * special.BETA_DENSITY_REL_ERR * exact, (xi, ai, bi)
+
+    def test_not_taken_off_its_domain(self):
+        # off the symmetry branch, at x = 1, and on the branch at r >= 0.999
+        # (r = 0.9991 at x = 0.5001, a = b = 1500) the bound is the trivial
+        # 1.0, formed with no log of 1 - x = 0; just past r, it is taken
+        x = np.array([0.3, 1.0, 0.5001, 0.501])
+        a, b = np.array([5.0, 5.0, 1500.0, 1500.0]), np.array([5.0, 5.0, 1500.0, 1500.0])
+        bound = special._tail_bound(x, a, b)
+        assert (bound[:3] == 1.0).all() and bound[3] != 1.0
+
+
 class TestRegIncBeta:
     def test_endpoints_exact(self):
         assert reg_inc_beta(0.0, 2.5, 7.0) == 0.0
