@@ -4,7 +4,10 @@ Computes P(X <= kappa * E[X]) for an F random variable with integer degrees
 of freedom, searches its infimum over the (d1, d2) grid, evaluates the
 b -> infinity limit curve, and ships an independent quadrature oracle plus a
 machine-checkable verification suite for the identities the computation
-rests on.
+rests on. A probe at one kappa returns one ProbeResult: the grid and
+limit-curve minima, and the closed-form infimum for kappa <= 1. For
+kappa > 1, where the infimum is only conjectured above 1/2, its combined
+estimate less 1/2 is the observed margin.
 """
 
 from .special import (
@@ -20,8 +23,6 @@ from .probe import (
     DEFAULT_GRID,
     GridSpec,
     ProbeResult,
-    ConjectureReport,
-    conjecture_probe,
     default_a_grid,
     grid_infimum,
     infimum,
@@ -58,12 +59,10 @@ __all__ = [
     "GridSpec",
     "DEFAULT_GRID",
     "ProbeResult",
-    "ConjectureReport",
     "grid_infimum",
     "limit_b",
     "limit_curve_min",
     "infimum",
-    "conjecture_probe",
     "default_a_grid",
     "QuadratureError",
     "quad_inc_beta",

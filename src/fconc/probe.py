@@ -112,12 +112,10 @@ __all__ = [
     "GridSpec",
     "DEFAULT_GRID",
     "ProbeResult",
-    "ConjectureReport",
     "grid_infimum",
     "limit_b",
     "limit_curve_min",
     "infimum",
-    "conjecture_probe",
     "default_a_grid",
     "FLAG_EXACT_INF_NOT_ATTAINED",
     "FLAG_CONJECTURE_REGIME",
@@ -209,21 +207,6 @@ class ProbeResult:
         if self.limit_min is None:
             return self.grid_min
         return min(self.grid_min, self.limit_min)
-
-
-@dataclass(frozen=True)
-class ConjectureReport:
-    """Numerical evidence for the kappa > 1 conjecture (never a proof).
-
-    falsified is True if any evaluated point came out <= 1/2, in which case
-    counterexample holds ("grid", d1, d2, value) or ("limit", a, value).
-    """
-
-    kappa: float
-    margin: float
-    result: ProbeResult
-    falsified: bool
-    counterexample: Optional[tuple] = None
 
 
 def _block_bound(kappa, a_lo, a_hi, b_lo, b_hi):
@@ -697,30 +680,3 @@ def infimum(kappa, grid: GridSpec = DEFAULT_GRID, a_grid=None, workers: Optional
         exact, flags = None, (FLAG_CONJECTURE_REGIME,)
 
     return replace(gres, limit_min=lmin, limit_argmin_a=larg, exact_inf=exact, flags=flags)
-
-
-def conjecture_probe(kappa, grid: GridSpec = DEFAULT_GRID, a_grid=None,
-                     workers: Optional[int] = None) -> ConjectureReport:
-    """Check every grid cell and limit-curve point against the 1/2 bound.
-
-    Requires kappa > 1. Reports the positive margin min(combined) - 1/2.
-    A value <= 1/2 anywhere would contradict the proven lower bound, so it
-    is returned as an explicit counterexample record for loud handling
-    upstream; this routine never claims anything is proved.
-    """
-    k = _check_kappa(kappa)
-    if k <= 1.0:
-        raise ValueError(f"conjecture probe requires kappa > 1, got {kappa}")
-    res = infimum(k, grid, a_grid, workers)
-    counterexample = None
-    if res.grid_min <= 0.5:
-        counterexample = ("grid", res.argmin_d1, res.argmin_d2, res.grid_min)
-    elif res.limit_min is not None and res.limit_min <= 0.5:
-        counterexample = ("limit", res.limit_argmin_a, res.limit_min)
-    return ConjectureReport(
-        kappa=k,
-        margin=res.combined_inf_estimate - 0.5,
-        result=res,
-        falsified=counterexample is not None,
-        counterexample=counterexample,
-    )

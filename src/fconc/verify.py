@@ -214,8 +214,12 @@ def quad_inc_beta(x, a, b):
 
     The domain is a >= 0.5, 0 < b <= 1e5 and a <= 1e5 (SHAPE_MAX); past
     it a sharply peaked integrand fails to converge (from about 3e5) or
-    drifts (at (1, 1e8), 1e-9 from reg_inc_beta). The 1e-12 accuracy above
-    is checked against mpmath for a, b in [0.5, 2000].
+    drifts (at (1, 1e8), 1e-9 from reg_inc_beta). Small b lies inside it
+    but does not converge: the complete integral's (1 - t)^(b-1) spike at
+    t = 1 keeps refining to the cap. At x in {0.01, 0.5, 0.99} and a in
+    {0.5, 5} that integral fails at b = 0.001, 0.003, 0.01 and 0.02, and
+    converges at 0.03 and 0.1. The 1e-12 accuracy above is checked against
+    mpmath for a, b in [0.5, 2000].
     """
     (x, a, b), shape, scalar = _prepare(x, a, b)
     if not ((0.0 <= x) & (x <= 1.0)).all():
@@ -241,7 +245,7 @@ def quad_inc_beta(x, a, b):
         if min(p, c) < num[rows].size:
             # a scalar loop meets an element's partial integral before its complete one
             i = lo + min(p, c)
-            args = (float(hi[i]) if p <= c else 1.0, float(am1[i]) + 1.0, float(bm1[i]) + 1.0)
+            args = (float(hi[i]) if p <= c else 1.0, float(a[inner[i]]), float(b[inner[i]]))
             raise QuadratureError(
                 f"tanh-sinh refinement cap {_MAX_LEVEL} reached "
                 f"(hi={args[0]!r}, a={args[1]!r}, b={args[2]!r})",
@@ -360,8 +364,9 @@ def _check_recurrence(sample, tol: float = 1e-10) -> CheckResult:
     b's elements first.
     """
     x, a, b = _sample_columns(sample, "recurrence-identity")
-    if (x < 0.0).any() or (x >= 1.0).any() or (a <= 0.0).any() or (b <= 0.0).any():
-        raise ValueError("recurrence check requires 0 <= x < 1, a > 0, b > 0")
+    _require("recurrence-identity", "x must lie in [0, 1)", x, (0.0 <= x) & (x < 1.0))
+    _require("recurrence-identity", "a must be > 0", a, a > 0.0)
+    _require("recurrence-identity", "b must be > 0", b, b > 0.0)
     both = yield np.tile(x, 2), np.tile(a, 2), np.concatenate([b, b + 1.0])
     i_b, i_b1 = both[:x.size], both[x.size:]
     with np.errstate(divide="ignore"):

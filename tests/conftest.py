@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fconc.verify
-from fconc import probe
+from fconc import cli, probe
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -45,12 +45,13 @@ def child_env():
 
 
 def patch_infimum(monkeypatch, grid_min, limit_min):
-    """Make probe.infimum report these minima, at (d1, d2) = (3, 7) and
-    a = 2.0, as a numerics bug would: no real probe value reaches 1/2 above
-    kappa = 1, so this is the only way into the counterexample path."""
+    """Make cli.infimum, which table, inf and sweep all call, report these
+    minima, at (d1, d2) = (3, 7) and a = 2.0, as a numerics bug would: no
+    real probe value reaches 1/2 above kappa = 1, so this is the only way
+    into the counterexample path."""
 
     def fake(kappa, grid, a_grid=None, workers=None):
         return probe.ProbeResult(kappa=kappa, grid_min=grid_min, argmin_d1=3, argmin_d2=7, grid=grid,
                                  limit_min=limit_min, limit_argmin_a=2.0, flags=(probe.FLAG_CONJECTURE_REGIME,))
 
-    monkeypatch.setattr(probe, "infimum", fake)
+    monkeypatch.setattr(cli, "infimum", fake)

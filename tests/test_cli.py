@@ -78,11 +78,13 @@ class TestInf:
         assert "--a-max" in p.stderr and "Traceback" not in p.stderr
 
     @pytest.mark.parametrize(
-        "grid_min, limit_min, where", [(0.5, 0.7, "('grid', 3, 7, 0.5)"), (0.6, 0.4, "('limit', 2.0, 0.4)")]
+        "grid_min, limit_min, where",
+        [(0.5, 0.7, "('grid', 3, 7, 0.5)"), (0.6, 0.4, "('limit', 2.0, 0.4)"), (0.4, 0.3, "('grid', 3, 7, 0.4)")],
     )
     def test_counterexample_exits_one(self, monkeypatch, capsys, grid_min, limit_min, where):
         # the documented exit for a probe value <= 1/2 above kappa = 1: the
-        # result still goes to stdout, the counterexample to stderr
+        # result still goes to stdout, the counterexample to stderr. A grid
+        # minimum <= 1/2 is named before a limit-curve one.
         patch_infimum(monkeypatch, grid_min, limit_min)
         argv = ["inf", "--kappa", "1.05", "--d1-max", "5", "--d2-max", "5", "--a-max", "5"]
         assert cli.main(argv) == cli.EXIT_CHECK_FAILED

@@ -11,7 +11,6 @@ from fconc import (
     ConvergenceError,
     FParams,
     GridSpec,
-    conjecture_probe,
     default_a_grid,
     grid_infimum,
     infimum,
@@ -24,7 +23,7 @@ from fconc import cli, fdist, probe, special
 from fconc.probe import FLAG_CONJECTURE_REGIME, FLAG_EXACT_INF_NOT_ATTAINED
 from fconc.special import BETA_DENSITY_REL_ERR, REG_INC_BETA_ABS_ERR
 
-from conftest import PROBE_KAPPAS, patch_infimum
+from conftest import PROBE_KAPPAS
 
 
 class TestGridSpec:
@@ -1024,26 +1023,3 @@ class TestInfimum:
         just_above = math.nextafter(1.0, 2.0)
         res = infimum(just_above, GridSpec(10, 10), a_grid=[0.5, 1.0])
         assert res.exact_inf is None  # no snapping to kappa = 1
-
-
-class TestConjectureProbe:
-    def test_positive_margin_small_caps(self):
-        rep = conjecture_probe(1.05, GridSpec(40, 40), a_grid=np.arange(1, 201) / 2.0)
-        assert not rep.falsified
-        assert rep.counterexample is None
-        assert rep.margin > 0.09
-
-    @pytest.mark.parametrize(
-        "grid_min, limit_min, counterexample",
-        [(0.5, 0.7, ("grid", 3, 7, 0.5)), (0.6, 0.4, ("limit", 2.0, 0.4)), (0.4, 0.3, ("grid", 3, 7, 0.4))],
-    )
-    def test_counterexample_reported(self, monkeypatch, grid_min, limit_min, counterexample):
-        # a grid minimum <= 1/2 is named first, then a limit minimum
-        patch_infimum(monkeypatch, grid_min, limit_min)
-        rep = conjecture_probe(1.05, GridSpec(5, 5))
-        assert rep.falsified and rep.counterexample == counterexample
-        assert rep.margin == min(grid_min, limit_min) - 0.5
-
-    def test_requires_kappa_above_one(self):
-        with pytest.raises(ValueError):
-            conjecture_probe(1.0, GridSpec(5, 5))

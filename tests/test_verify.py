@@ -155,6 +155,15 @@ class TestQuadIncBeta:
         assert err.value.args_at_failure == ((1.0, 2.0, 1500.0) if complete_first else partial_fails)
         assert err.value.iterations == 5
 
+    @pytest.mark.parametrize("b", [1e-10, 1e-300])
+    def test_failure_names_the_shapes_passed(self, b):
+        # the complete integral does not converge for so small a b, and
+        # (b - 1) + 1 rounds for b below 0.5: the failure names b as passed
+        with pytest.raises(QuadratureError) as err:
+            quad_inc_beta(0.5, 0.5, b)
+        assert err.value.args_at_failure == (1.0, 0.5, b)
+        assert str(err.value).endswith(f"(hi=1.0, a=0.5, b={b!r})")
+
     def test_level_tables_read_only_and_history_free(self, monkeypatch, tight_oracle):
         # the per-level node tables are shared by every call: a capped call
         # that raised, then a call at other settings, must leave the bits of
@@ -373,6 +382,10 @@ class TestCheckInputs:
             (check_oracle_agreement, ([(0.5, 0.3, 2.0)],), "oracle-agreement: a must lie in [0.5, 100000], got 0.3"),
             (check_oracle_agreement, ([(1.5, 1.0, 2.0)],), "oracle-agreement: x must lie in [0, 1], got 1.5"),
             (check_oracle_agreement, ([(0.5, 2.0, 2e5)],), "oracle-agreement: b must lie in (0, 100000], got 200000.0"),
+            (check_recurrence, ([(0.5, 2.0, 3.0), (1.0, 2.0, 3.0)],), "recurrence-identity: x must lie in [0, 1), got 1.0"),
+            (check_recurrence, ([(-0.25, 2.0, 3.0)],), "recurrence-identity: x must lie in [0, 1), got -0.25"),
+            (check_recurrence, ([(0.5, 0.0, 3.0)],), "recurrence-identity: a must be > 0, got 0.0"),
+            (check_recurrence, ([(0.5, 2.0, -1.5)],), "recurrence-identity: b must be > 0, got -1.5"),
         ],
     )
     def test_bad_values_named_by_their_planner(self, monkeypatch, check, args, message):
@@ -380,8 +393,9 @@ class TestCheckInputs:
         # sample value reached reg_inc_beta, whose message names no check; an
         # a of -1 was named by limit_b, which now runs after the call. The
         # oracle's shapes and x were named by quad_inc_beta or reg_inc_beta
-        # alone, an a of 0.3 only after the whole call. Each now fails in its
-        # check's planner, before the call.
+        # alone, an a of 0.3 only after the whole call, and the recurrence's
+        # x, a and b by a message naming no check and no value. Each now
+        # fails in its check's planner, before the call.
         def unreachable(*args):
             raise AssertionError("reg_inc_beta reached")
 
