@@ -23,7 +23,7 @@ from fconc import cli, fdist, probe, special
 from fconc.probe import FLAG_CONJECTURE_REGIME, FLAG_EXACT_INF_NOT_ATTAINED
 from fconc.special import BETA_DENSITY_REL_ERR, REG_INC_BETA_ABS_ERR
 
-from conftest import PROBE_KAPPAS
+from conftest import PROBE_KAPPAS, patch_infimum
 
 
 class TestGridSpec:
@@ -1023,3 +1023,18 @@ class TestInfimum:
         just_above = math.nextafter(1.0, 2.0)
         res = infimum(just_above, GridSpec(10, 10), a_grid=[0.5, 1.0])
         assert res.exact_inf is None  # no snapping to kappa = 1
+
+
+class TestConjectureProbe:
+    @pytest.mark.parametrize(
+        "grid_min, limit_min, counterexample",
+        [(0.5, 0.7, ("grid", 3, 7, 0.5)), (0.6, 0.4, ("limit", 2.0, 0.4)), (0.4, 0.3, ("grid", 3, 7, 0.4))],
+    )
+    def test_counterexample_reported(self, monkeypatch, capsys, grid_min, limit_min, counterexample):
+        # cmd_inf reads the counterexample and the margin from the one
+        # ProbeResult: a grid minimum <= 1/2 is named first, then a limit one
+        patch_infimum(monkeypatch, grid_min, limit_min)
+        cli.main(["inf", "--kappa", "1.05", "--d1-max", "5", "--d2-max", "5", "--a-max", "5"])
+        out, err = capsys.readouterr()
+        assert f"at {counterexample} contradicts" in err
+        assert f"observed margin {min(grid_min, limit_min) - 0.5:.6g}\n" in out
