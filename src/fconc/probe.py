@@ -28,20 +28,25 @@ Three ingredients:
   bound: q increases in kappa, so P_kappa >= P_min(kappa, 1) cell by cell,
   and by the paper's theorem P_k' strictly decreases in b for k' <= 1, so
   P_min(kappa, 1)(a, b_hi) bounds every cell of a row up to b_hi: a row's
-  certified 64-column segments are a prefix. The seed's call takes one
-  segment bound per row: at kappa <= 1 its column d2 = d2_max, each row's
-  last segment bound, which certifies most rows whole; above 1 the first
-  segment's, and then one call takes the last segment's on the rows that
-  leaves open. The other rows' prefixes are searched with about d1_max
-  segment ends a call. Increment bound,
+  certified 64-column segments are a prefix. The seed's call takes each
+  row's last segment bound: at kappa <= 1 its column d2 = d2_max, which
+  certifies most rows whole; above 1 P_1 at d2 = d2_max, the row's floor,
+  beside P_1 at the first segment's end, on the lemma's rows below only.
+  Increment bound,
   for kappa > 1: the step from P_1 to P_kappa is the integral of the
   Beta(a, b) density f over [q_1, q_kappa], and f does not increase there,
   so P_1(a, b_hi) + inc(a, b) bounds the cell (a, b) for b <= b_hi, where
   inc(a, b) = (q_kappa - q_1) * f(q_kappa). On rows with
   (kappa - 1)^2 a <= 1, inc does not decrease in b (the lemma below), so
-  the increment at a run's first cell bounds the whole run; one call
-  takes P_1 at every segment end the stage needs. Above kappa = 1 it runs
-  before the block levels, so they bound only what it leaves.
+  the increment at a run's first cell bounds the whole run. With
+  b_hi = d2_max this makes the floor plus the increment at a segment's
+  first cell a bound on every cell from there to d2_max: the segments
+  from the first where it exceeds the limit, the floor's suffix, are
+  certified with no call, and the search for the certified prefix,
+  about d1_max segment ends a call, stops where the suffix starts. One
+  call then takes P_1 at every segment end the increment stage needs.
+  Above kappa = 1 it runs before the block levels, so they bound only
+  what it leaves.
   The block bounds prune far from kappa = 1, the segment bound at and
   below it, and the increment bound just above it. A cell is skipped only
   when a bound, less its error budget, exceeds an evaluated cell's value
@@ -84,8 +89,11 @@ its bounds in as few calls as it can, and the pass stops once the live
 cells number at most d1_max: evaluating them costs about one more call,
 and a further stage could only spend one. At full caps the pass makes no
 bound call at kappa = 0.9 and 1, where the seed leaves one row of 1,997
-cells, and five at 1.00005: four for the segment cut and one in the
+cells, and three at 1.00005: two for the segment cut and one in the
 increment stage, after which too few cells are live for a block level.
+It makes seven at 1.001 and 1.005 (four for the cut, one in the stage and
+one for each block level) and three at 1.05 (the stage and the two block
+levels).
 """
 
 from __future__ import annotations
@@ -302,29 +310,40 @@ def _spread_ends(lo, hi, rows, budget):
     return rows[k], lo[rows][k] + j * span[k] // (n[k] + 1)
 
 
-def _certified_segments(kappa, a, d2_max, limit, taken=None):
-    """Count of each row a's leading segments certified above limit.
+def _certified_segments(kappa, a, d2_max, limit, taken=None, stop=None):
+    """Count of each row a's leading segments certified above limit, searched
+    below stop (each row's floor suffix start, see _floor_suffix; by default
+    every segment).
 
     A segment bound bounds its row up to the segment's end, so any segment
     bound above limit certifies the prefix ending there, whether or not the
     computed bounds are monotone. One segment is taken for every row in one
-    call (taken, when the caller has it): at kappa <= 1 the last, whose
-    bound is the probe on column d2 = d2_max, so a row above limit there is
-    certified whole; above 1 the first. Each later call probes ends still
-    open on the rows not yet decided, about a.size of them (see
-    _spread_ends), so the search takes few calls. Above 1, when the open
-    ends are more than that, the first of these calls takes each row's last
-    end: near kappa = 1 it certifies most rows whole (1,271 of 1,999 at
-    full caps and kappa = 1.00005).
+    call (taken, when the caller has it; rows past its end count as not
+    above): at kappa <= 1 the last, whose bound is the probe on column
+    d2 = d2_max, so a row above limit there is certified whole; above 1 the
+    first. Segments from stop on are certified by other means, so a row
+    whose prefix reaches stop needs no more, and the count never passes
+    stop. When the cells past what taken certifies number at most a.size,
+    no segment is searched: the pass leaves them to the stripes. Otherwise
+    each later call probes ends still open on the rows not yet decided,
+    about a.size of them (see _spread_ends), so the search takes few calls.
+    Above 1, when the open ends are more than that, the first of these calls
+    takes each row's last end before stop: near kappa = 1 it certifies most
+    open rows whole (678 of 728 at full caps and kappa = 1.00005).
     """
     n_seg = -(-(d2_max - 2) // _SEGMENT)
     known = n_seg - 1 if kappa <= 1.0 else 0
     if taken is None:
         taken = _segment_bound(kappa, a, _segment_ends(known, d2_max))
-    above = taken > limit
-    # segment lo's bound is above limit (or lo = -1), hi's not (or hi = n_seg)
-    lo = np.where(above, known, -1)
-    hi = np.where(above, n_seg, known)
+    if stop is None:
+        stop = n_seg
+    above = np.zeros(a.size, dtype=bool)
+    above[: taken.size] = taken > limit
+    # segment lo's bound is above limit (or lo = -1), hi's not (or hi = stop)
+    hi = np.minimum(np.where(above, n_seg, known), stop)
+    lo = np.minimum(np.where(above, known, -1), hi - 1)
+    if np.maximum(np.minimum(d2_max - 2, _SEGMENT * stop) - _SEGMENT * (lo + 1), 0).sum() <= a.size:
+        return lo + 1
     rows = np.flatnonzero(hi - lo > 1)
     if kappa > 1.0 and (hi - lo - 1)[rows].sum() > a.size:
         # each undecided row's last end first
@@ -416,6 +435,38 @@ def _increment(kappa, a, b):
     return dq * _grid_beta_density(_threshold(kappa, a, b), a, b)
 
 
+def _gain(kappa, a, b_0):
+    """_increment at (a, b_0) less its error budget (_INCREMENT_MARGIN and
+    BETA_DENSITY_REL_ERR): what a P_1 value plus it may certify."""
+    return _increment(kappa, a, b_0) * (1.0 - BETA_DENSITY_REL_ERR) - _INCREMENT_MARGIN
+
+
+def _floor_suffix(kappa, a, floor, b, limit):
+    """First segment s of each row a from which the row's floor, P_1 at
+    d2 = d2_max, plus _gain at s's first cell exceeds limit, for kappa > 1
+    on the lemma's rows; 0 where the floor alone exceeds limit, and the
+    segment count where no s does.
+
+    floor is the last segment's bound, so a row above limit there is
+    certified whole. Otherwise, by the bound of _certify_increment with
+    b_hi = d2_max, floor plus _gain at s's first cell is below every cell
+    from there to d2_max, so it certifies segments s on. _gain does not
+    decrease along the row (the lemma), so s is found by bisection, a few
+    densities a row; any s it returns below the segment count is one whose
+    bound it evaluated above limit, whatever the rounding.
+    """
+    lo = np.full(a.size, -1)
+    hi = np.where(floor > limit, 0, -(-b.size // _SEGMENT))
+    rows = np.flatnonzero(hi - lo > 1)
+    while rows.size:
+        mid = (lo[rows] + hi[rows]) // 2
+        above = floor[rows] + _gain(kappa, a[rows], b[_SEGMENT * mid]) > limit
+        hi[rows] = np.where(above, mid, hi[rows])
+        lo[rows] = np.where(above, lo[rows], mid)
+        rows = rows[hi[rows] - lo[rows] > 1]
+    return hi
+
+
 def _certify_increment(kappa, a, b, live, limit, d2_max, head):
     """Clear the entries of live, a rows x 4-column mask over rows a, whose
     cells all lie above limit by the increment bound, for kappa > 1.
@@ -428,38 +479,36 @@ def _certify_increment(kappa, a, b, live, limit, d2_max, head):
     the module docstring), which holds on the rows with
     (kappa - 1)^2 a <= 1, a prefix of the grid. So on those rows a run of
     cells up to a segment's end b_hi is bounded by P_1 there plus the
-    increment at the run's first cell, after its error budget
-    (_INCREMENT_MARGIN and BETA_DENSITY_REL_ERR). head holds each row's P_1
-    at the end of its first segment, by the theorem at least its P_1 at
-    every later one, so a (row, segment) pair whose bound with head in
-    place of P_1 and the increment at the segment's last cell does not
-    exceed limit holds no entry that can be certified. One _segment_bound
-    call takes P_1 on every other pair that holds a live entry; the pairs
-    certified from their segment's first cell are cleared whole, and the
-    rest entry by entry, each from its own first cell.
+    increment at the run's first cell, after its error budget (_gain).
+    head holds P_1 at the end of each lemma row's first segment, one value
+    per such row, by the theorem at least its P_1 at every later one, so a
+    (row, segment) pair whose bound with head in place of P_1 and the
+    increment at the segment's last cell does not exceed limit holds no
+    entry that can be certified. The pass has already cleared the pairs the
+    row's floor, P_1 at d2 = d2_max, certifies from their first cell
+    (_floor_suffix). One _segment_bound call takes P_1 on every other pair
+    that holds a live entry; the pairs certified from their segment's first
+    cell are cleared whole, and the rest entry by entry, each from its own
+    first cell.
     """
-    live = live[: np.count_nonzero((kappa - 1.0) ** 2 * a <= 1.0)]
+    live = live[: head.size]
     if not live.size:
         return
     per_seg = _SEGMENT // _RUN
-
-    def gain(rows, b_0):
-        return _increment(kappa, a[rows], b_0) * (1.0 - BETA_DENSITY_REL_ERR) - _INCREMENT_MARGIN
-
     by_pair = live.reshape(live.shape[0], -1, per_seg)
     rows, segs = np.nonzero(by_pair.any(axis=2))
     ends = _segment_ends(segs, d2_max)
-    can = head[rows] + gain(rows, ends) > limit
+    can = head[rows] + _gain(kappa, a[rows], ends) > limit
     if not can.any():
         return
     rows, segs, ends = rows[can], segs[can], ends[can]
     p1 = _segment_bound(kappa, a[rows], ends)
-    whole = p1 + gain(rows, b[_SEGMENT * segs]) > limit
+    whole = p1 + _gain(kappa, a[rows], b[_SEGMENT * segs]) > limit
     by_pair[rows[whole], segs[whole]] = False
     rows, segs, p1 = rows[~whole], segs[~whole], p1[~whole]
     pair, entry = np.nonzero(by_pair[rows, segs])
     cols = segs[pair] * per_seg + entry
-    dead = p1[pair] + gain(rows[pair], b[_RUN * cols]) > limit
+    dead = p1[pair] + _gain(kappa, a[rows[pair]], b[_RUN * cols]) > limit
     live[rows[pair[dead]], cols[dead]] = False
 
 
@@ -475,38 +524,46 @@ def _live_blocks(kappa, grid, limit, column=None):
     lie past its certified segments, the bounds of the 16 x 16 block and of
     the strip or strips holding them are at most limit, and, for kappa > 1
     on rows with (kappa - 1)^2 a <= 1, the increment bound from the entry's
-    first cell is too.
+    first cell is too, with P_1 at the entry's segment end or at d2 = d2_max.
 
-    column is _seed's segment bound per row, taken here in a call of its
-    own when the caller does not have it. The block level and the strip
-    level each bound, in one call, only where a live entry remains, the
-    closed-form screen first and the continued fraction on what it leaves
-    (_bounds_above). For kappa > 1 the increment stage runs before them,
-    so they skip the entries it certifies. Once the live cells number at most
-    a.size, the row count, no further stage runs: the stripes evaluate
-    those cells in about the time of one more bound call. Every bound is a
-    probability, so at limit >= 1 the pass certifies nothing and is skipped.
+    column is _seed's last element, taken here by _seed when the caller does
+    not have it: at kappa <= 1 each row's last segment bound, above 1 P_1 at
+    each lemma row's first segment end and at d2 = d2_max, the row's floor.
+    Above 1 the segments from each lemma row's floor suffix start on
+    (_floor_suffix) are dead from the start, and the segment cut searches
+    only below it. The block level and the strip level each bound, in one
+    call, only where a live entry remains, the closed-form screen first and
+    the continued fraction on what it leaves (_bounds_above). For kappa > 1
+    the increment stage runs before them, so they skip the entries it
+    certifies. Once the live cells number at most a.size, the row count, no
+    further stage runs: the stripes evaluate those cells in about the time
+    of one more bound call. Every bound is a probability, so at limit >= 1
+    the pass certifies nothing and is skipped.
     """
     a = np.arange(1, grid.d1_max + 1, dtype=np.int64) / 2.0
     b = np.arange(3, grid.d2_max + 1, dtype=np.int64) / 2.0
     n_entries = -(-b.size // _RUN)
     if limit >= 1.0:
         return np.ones((a.size, n_entries), dtype=bool)
-    # the segment whose bound the seed takes on every row
-    known = -(-b.size // _SEGMENT) - 1 if kappa <= 1.0 else 0
     if column is None:
-        column = _segment_bound(kappa, a, _segment_ends(known, grid.d2_max))
-    # what that bound certifies alone: each row whole at kappa <= 1, its
-    # first segment above 1
-    segments = np.where(column > limit, known + 1, 0)
-    if np.maximum(b.size - _SEGMENT * segments, 0).sum() > a.size:
-        segments = _certified_segments(kappa, a, grid.d2_max, limit, column)
+        column = _seed(kappa, grid)[3]
+    n_seg = -(-b.size // _SEGMENT)
+    stop = np.full(a.size, n_seg)
+    if kappa > 1.0:
+        # P_1 at the first segment's end, and the floor
+        column, floor = column
+        stop[: floor.size] = _floor_suffix(kappa, a[: floor.size], floor, b, limit)
+    segments = _certified_segments(kappa, a, grid.d2_max, limit, column, stop)
     per_seg = _SEGMENT // _RUN
-    # padded to whole blocks and whole segments; pad entries stay dead
-    n_cols = -(-b.size // _SEGMENT) * per_seg
+    # each row live from its certified segments to its floor suffix start,
+    # one run of entries laid out by np.repeat; padded to whole blocks and
+    # whole segments, and pad entries stay dead
+    n_cols = n_seg * per_seg
     first = np.full(-(-a.size // _BLOCK) * _BLOCK, n_cols)
-    first[: a.size] = segments * per_seg
-    live = np.arange(n_cols) >= first[:, None]
+    last = first.copy()
+    first[: a.size], last[: a.size] = per_seg * segments, per_seg * stop
+    spans = np.stack([first, last - first, n_cols - last], axis=1).ravel()
+    live = np.repeat(np.tile([False, True, False], first.size), spans).reshape(first.size, n_cols)
     live[:, n_entries:] = False
     stages = [_bound_blocks, _bound_strips]
     if kappa > 1.0:
@@ -536,10 +593,13 @@ def _scan_stripe(args):
 
 def _seed(kappa, grid):
     """(value, d1, d2) of the smallest cell on row d1 = 1 and column
-    d2 = d2_max, then one segment bound per row, d1 ascending: at kappa <= 1
-    the column's own values, each row's last segment bound; above 1 P_1 at
-    the end of each row's first segment, taken in the same call with kappa
-    = 1 at those elements, so its thresholds round as _segment_bound's do.
+    d2 = d2_max, then the segment bounds the pass starts from, d1
+    ascending: at kappa <= 1 the column's own values, each row's last
+    segment bound; above 1 a 2 x n array, P_1 at the end of each row's first
+    segment and at d2 = d2_max (the row's floor), on the n rows with
+    (kappa - 1)^2 a <= 1, where the increment lemma holds. These are taken
+    in the same call with kappa = 1 at those elements, so their thresholds
+    round as _segment_bound's do.
     """
     d1s = np.arange(1, grid.d1_max + 1, dtype=np.int64)
     d2s = np.arange(3, grid.d2_max + 1, dtype=np.int64)
@@ -547,23 +607,27 @@ def _seed(kappa, grid):
     b = np.concatenate([d2s, np.full_like(d1s, grid.d2_max)]) / 2.0
     n_cells, k = a.size, kappa
     if kappa > 1.0:
-        a = np.concatenate([a, d1s / 2.0])
-        b = np.concatenate([b, np.full(d1s.size, _segment_ends(0, grid.d2_max))])
+        lemma = d1s[: np.count_nonzero((kappa - 1.0) ** 2 * (d1s / 2.0) <= 1.0)] / 2.0
+        a = np.concatenate([a, lemma, lemma])
+        b = np.concatenate([b, np.repeat([_segment_ends(0, grid.d2_max), grid.d2_max / 2.0], lemma.size)])
         k = np.where(np.arange(a.size) < n_cells, kappa, 1.0)
     vals = _probe(k, a, b)
-    return (*_first_min(vals[:n_cells], a[:n_cells], b[:n_cells]), vals[-d1s.size :])
+    bounds = vals[n_cells:].reshape(2, -1) if kappa > 1.0 else vals[-d1s.size :]
+    return (*_first_min(vals[:n_cells], a[:n_cells], b[:n_cells]), bounds)
 
 
 def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, workers: Optional[int] = None) -> ProbeResult:
     """Exhaustive minimum of P(X <= kappa E[X]) over the capped integer grid.
 
     The smallest cell of row d1 = 1 and column d2 = d2_max seeds an
-    incumbent. The same call takes one segment bound per row for the pass:
-    at kappa <= 1 the column is each row's last, and above 1 the call takes
-    each row's first at kappa = 1 beside the cells. One pass in the calling
-    process marks live the cells whose block and strip bounds, row-segment
-    bound and, for kappa > 1, increment bound (see the module docstring)
-    are all at most the incumbent plus twice reg_inc_beta's absolute error:
+    incumbent. The same call takes each row's last segment bound for the
+    pass: at kappa <= 1 the column itself, and above 1, beside the cells,
+    P_1 at d2 = d2_max and at the first segment's end, on the rows with
+    (kappa - 1)^2 a <= 1, where the increment lemma holds. One pass in
+    the calling process marks live the cells whose block and strip bounds,
+    row-segment bound and, for kappa > 1, increment bounds from the
+    segment's end and from the row's floor (see the module docstring) are
+    all at most the incumbent plus twice reg_inc_beta's absolute error:
     once for the bound, once for a cell; it stops early once at most d1_max
     cells are live. The increment bound carries its own error budget on
     top. A skipped cell is thus strictly above the incumbent, and the

@@ -270,8 +270,8 @@ def _converge(step, state, what, report, block=None):
     """Iterate ``step(state, m, tol)`` for m = 1, 2, ... over an active set.
 
     ``state`` is a namespace of equal-length 1-D arrays; ``state.h`` holds the
-    current values. ``step`` rebinds the arrays it advances and returns the
-    mask of converged elements. An element's value is stored once, at the
+    current values. ``step`` advances its arrays, in place or by rebinding
+    them, and returns the mask of converged elements. An element's value is stored once, at the
     first iteration it converges; the ``live`` mask marks the elements not
     yet stored. Compaction is lazy: every array of ``state`` is gathered down
     to the live elements only when they are 3/4 of the array or fewer, and
@@ -504,10 +504,11 @@ def _gamma_prefactor(a, x):
 
 
 def _gamma_series_step(s, m, tol):
+    # x > 0 and a > 0, so every term and partial sum is positive: no abs
     s.ap += 1.0
-    s.delt = s.delt * (s.x / s.ap)
-    s.h = s.h + s.delt
-    return np.abs(s.delt) < np.abs(s.h) * tol
+    s.delt *= s.x / s.ap
+    s.h += s.delt
+    return s.delt < s.h * tol
 
 
 def _gamma_series_block(s, n, tol):
@@ -517,7 +518,7 @@ def _gamma_series_block(s, n, tol):
     ap = np.add.accumulate(np.vstack([s.ap, np.ones((n, s.ap.size))]))[1:]
     delt = np.multiply.accumulate(np.vstack([s.delt, s.x / ap]))[1:]
     h = np.add.accumulate(np.vstack([s.h, delt]))[1:]
-    done = np.abs(delt) < np.abs(h) * tol
+    done = delt < h * tol
     first = np.where(done.any(axis=0), done.argmax(axis=0), n - 1)
     s.ap, s.delt, s.h = ap[-1], delt[-1], h[first, np.arange(first.size)]
     return done.any(axis=0)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import multiprocessing
@@ -486,3 +487,12 @@ def test_stdout_bytes_pinned(capsys, argv, stdout):
     assert cli.main(argv) == 0
     captured = capsys.readouterr()
     assert captured.out == stdout and captured.err == ""
+
+
+def test_full_caps_table_digest_pinned(capsys):
+    # the parity gate every pruning change claims, at the default caps
+    # (1999, 1999): the 13 rows' bytes, held by digest
+    assert cli.main(["table", "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert digest == "9f6032e18084a9924db84662a632e3252e7b32187c53c7f7855e939f70a48239" and captured.err == ""

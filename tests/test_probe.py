@@ -352,6 +352,27 @@ class TestGridInfimum:
         if cut < n_seg:
             assert bounds[cut] <= limit
 
+    @pytest.mark.parametrize("kappa", [1.00005, 1.001, 1.005, 1.05])
+    def test_segment_cut_stops_at_the_floor_suffix(self, kappa):
+        # at full caps, from the seed's bounds as the pass uses them: on
+        # each lemma row the cut counts the segment bounds above limit up to
+        # the row's floor suffix start, never assuming them up to it, and
+        # none on the other rows, where the seed takes no bound
+        grid = GridSpec(1999, 1999)
+        *seed, (head, floor) = probe._seed(kappa, grid)
+        limit = seed[0] + probe._PRUNE_MARGIN
+        a = np.arange(1, grid.d1_max + 1) / 2.0
+        b = np.arange(3, grid.d2_max + 1) / 2.0
+        stop = np.full(a.size, 32)
+        stop[: floor.size] = probe._floor_suffix(kappa, a[: floor.size], floor, b, limit)
+        cut = probe._certified_segments(kappa, a, grid.d2_max, limit, head, stop)
+        bounds = probe._segment_bound(kappa, a[:, None], probe._segment_ends(np.arange(32), grid.d2_max)[None, :])
+        prefix = np.argmin(np.append(bounds > limit, np.zeros((a.size, 1), dtype=bool), axis=1), axis=1)
+        expected = np.minimum(prefix, stop)
+        expected[floor.size :] = 0
+        assert (cut == expected).all()
+        assert (expected < stop).any()
+
     @pytest.mark.parametrize("kappa, share", [(1.001, 0.005), (1.005, 0.05)])
     def test_increment_bound_prunes_just_above_one(self, monkeypatch, kappa, share):
         # a count, so deterministic: without the increment stage the stripe
@@ -443,13 +464,17 @@ class TestGridInfimum:
             assert len(calls) == in_pass
         assert sum(stage_calls) == in_stage
 
-    @pytest.mark.parametrize("kappa, calls", [(1.00005, 4), (1.001, 5), (1.005, 5), (1.05, 1)])
+    @pytest.mark.parametrize("kappa, calls", [(1.00005, 2), (1.001, 4), (1.005, 4), (1.05, 0)])
     def test_segment_cut_counts_its_calls(self, monkeypatch, kappa, calls):
         # a count, so deterministic, at full caps, after the seed's first
-        # segment: the cut takes each open row's last end, which at 1.00005
-        # certifies 1,271 of the 1,999 rows whole, then about 2,000 open
-        # ends a call; at 1.05, 124 open ends fit in one call, and no last
-        # end is taken first. The bisection took 5, 5, 5 and 1 calls
+        # segment end and floor: a row whose floor is above limit is
+        # certified whole with no call, and the cut searches only below each
+        # row's floor suffix start. Its first call takes each open row's last
+        # end before that start: at 1.00005 the floor certifies 1,271 of the
+        # 1,999 rows, 123 more close on their suffix start with no probe, and
+        # the first call certifies 555 of the other 605; then about 2,000
+        # open ends a call; at 1.05 no row is open. Before the floor the cut
+        # took 4, 5, 5 and 1 calls
         taken = []
         segment_bound = probe._segment_bound
 
@@ -458,14 +483,19 @@ class TestGridInfimum:
             return segment_bound(*args)
 
         grid = GridSpec(1999, 1999)
-        *seed, column = probe._seed(kappa, grid)
-        monkeypatch.setattr(probe, "_segment_bound", counting)
+        *seed, (head, floor) = probe._seed(kappa, grid)
+        limit = seed[0] + probe._PRUNE_MARGIN
         a = np.arange(1, grid.d1_max + 1) / 2.0
-        segments = probe._certified_segments(kappa, a, grid.d2_max, seed[0] + probe._PRUNE_MARGIN, column)
+        b = np.arange(3, grid.d2_max + 1) / 2.0
+        stop = np.full(a.size, 32)
+        stop[: floor.size] = probe._floor_suffix(kappa, a[: floor.size], floor, b, limit)
+        monkeypatch.setattr(probe, "_segment_bound", counting)
+        segments = probe._certified_segments(kappa, a, grid.d2_max, limit, head, stop)
         assert len(taken) == calls
-        assert max(taken) <= 2 * a.size
+        assert max(taken, default=0) <= 2 * a.size
         if kappa == 1.00005:
-            assert taken[0] == a.size and np.count_nonzero(segments == 32) == 1271
+            assert np.count_nonzero(floor > limit) == 1271 and taken[0] == 605
+            assert np.count_nonzero(segments == stop) == 1271 + 123 + 555
 
     @pytest.mark.parametrize("kappa", [0.5, 0.9, 1.0])
     @pytest.mark.parametrize("grid", [GridSpec(1999, 1999), GridSpec(300, 400), GridSpec(77, 131)])
@@ -482,12 +512,34 @@ class TestGridInfimum:
     @pytest.mark.parametrize("grid", [GridSpec(1999, 1999), GridSpec(300, 400), GridSpec(77, 60)])
     def test_seed_carries_the_first_segment_bound(self, kappa, grid):
         # above 1 the seed's call takes P_1 at each row's first segment end
-        # beside its cells, with kappa = 1 at those elements: hex for hex
-        # the pass's own _segment_bound, its column d2 = d2_max unread
+        # and at d2 = d2_max beside its cells, with kappa = 1 at those
+        # elements, on the rows with (kappa - 1)^2 a <= 1 and no others: hex
+        # for hex the pass's own _segment_bound
         a = np.arange(1, grid.d1_max + 1) / 2.0
-        first = probe._segment_bound(kappa, a, probe._segment_ends(0, grid.d2_max))
+        a = a[(kappa - 1.0) ** 2 * a <= 1.0]
+        ends = np.array([probe._segment_ends(0, grid.d2_max), grid.d2_max / 2.0])
+        expected = probe._segment_bound(kappa, a[None, :], ends[:, None])
         carried = probe._seed(kappa, grid)[3]
-        assert list(map(float.hex, carried.tolist())) == list(map(float.hex, first.tolist()))
+        assert carried.shape == (2, a.size)
+        assert list(map(float.hex, carried.ravel().tolist())) == list(map(float.hex, expected.ravel().tolist()))
+
+    @pytest.mark.parametrize("kappa, p1_elements", [(1.5, 16), (3.005, 0), (16.0, 0)])
+    def test_seed_takes_p1_on_the_lemma_rows_only(self, monkeypatch, kappa, p1_elements):
+        # a count, so deterministic, at full caps: beside its 1,997 + 1,999
+        # cells the seed's one call takes P_1 at two ends of each row with
+        # (kappa - 1)^2 a <= 1, 8 rows at 1.5 and none at 3.005 and 16. It
+        # took P_1 at every row's first segment end, 1,999 elements, which
+        # certified no row outside that band
+        calls = []
+        seed_probe = probe._probe
+
+        def counting(k, a, b):
+            calls.append((np.size(a), np.count_nonzero(np.broadcast_to(k, np.shape(a)) == 1.0)))
+            return seed_probe(k, a, b)
+
+        monkeypatch.setattr(probe, "_probe", counting)
+        probe._seed(kappa, GridSpec(1999, 1999))
+        assert calls == [(1997 + 1999 + p1_elements, p1_elements)]
 
     def test_kappa_one_evaluates_its_last_row_with_no_bound(self, monkeypatch):
         # at full caps the seed's column certifies every row but d1 = 1999
@@ -575,6 +627,50 @@ class TestGridInfimum:
         bound = p1 - probe._INCREMENT_MARGIN + inc * (1.0 - BETA_DENSITY_REL_ERR)
         cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
         assert (bound <= cells + REG_INC_BETA_ABS_ERR).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kappa=st.one_of(st.sampled_from([1.00005, 1.0002, 1.001, 1.005, 1.02, 1.05, 1.5]),
+                        st.floats(1.0, 1.1, exclude_min=True), st.floats(1.1, 2.4)),
+        d1=st.integers(1, 1999),
+        d2_max=st.integers(3, 1999),
+        segment=st.integers(0, 31),
+    )
+    def test_floor_bound_below_every_cell_of_suffix(self, kappa, d1, d2_max, segment):
+        # the floor suffix's bound on a row of the lemma: the floor, P_1 at
+        # d2 = d2_max, plus the budgeted increment at a segment's first cell,
+        # at every cell from that cell to d2_max
+        eligible = np.count_nonzero((kappa - 1.0) ** 2 * (np.arange(1, 2000) / 2.0) <= 1.0)
+        d1 = 1 + (d1 - 1) % eligible
+        n_seg = -(-(d2_max - 2) // probe._SEGMENT)
+        b = np.arange(3 + probe._SEGMENT * min(segment, n_seg - 1), d2_max + 1) / 2.0
+        a = np.full(b.size, d1 / 2.0)
+        floor = probe._segment_bound(kappa, a[0], d2_max / 2.0)
+        bound = floor + probe._gain(kappa, a[:1], b[:1])[0]
+        cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
+        assert (bound <= cells + REG_INC_BETA_ABS_ERR).all()
+
+    @pytest.mark.parametrize("kappa", [1.0002, 1.02])
+    @pytest.mark.parametrize("grid", [GridSpec(61, 90), GridSpec(77, 131)])
+    def test_floor_pruned_search_matches_full_grid(self, kappa, grid):
+        # caps off the block and segment sides, so the floor suffix and the
+        # cut below it meet a clamped last segment; every cell in one call is
+        # the oracle, with workers None and 2, and each 16-row band is held
+        # to its own minimum as incumbent: the pass keeps that cell live
+        d1, d2 = np.meshgrid(np.arange(1, grid.d1_max + 1), np.arange(3, grid.d2_max + 1), indexing="ij")
+        vals = reg_inc_beta(probe._threshold(kappa, d1 / 2.0, d2 / 2.0), d1 / 2.0, d2 / 2.0)
+
+        def first_min(rows):
+            i = int(np.argmin(vals[rows]))
+            return float(vals[rows].flat[i]), int(d1[rows].flat[i]), int(d2[rows].flat[i])
+
+        for workers in (None, 2):
+            res = grid_infimum(kappa, grid, workers=workers)
+            assert (res.grid_min, res.argmin_d1, res.argmin_d2) == first_min(slice(None))
+        for lo in range(0, grid.d1_max, 16):
+            value, row, col = first_min(slice(lo, lo + 16))
+            live = probe._live_blocks(kappa, grid, value + probe._PRUNE_MARGIN)
+            assert live[row - 1, (col - 3) // probe._RUN]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -799,26 +895,46 @@ class TestGridInfimum:
     @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
     def test_cli_convergence_failure_in_increment_stage_names_cell(self, monkeypatch, capsys, workers):
         # at kappa = 1.005 and caps (200, 300) the increment stage takes P_1
-        # at the end of row 38's fifth segment, d2 = 258, which the
-        # bisection never evaluates; the kernel fails there at q_1 only
+        # at the end of row 98's fourth segment, d2 = 258, which neither the
+        # seed nor the segment cut evaluates; the kernel fails there at q_1
+        # only
         kernel = fdist.reg_inc_beta
-        q_1 = probe._threshold(1.0, 19.0, 129.0)
+        q_1 = probe._threshold(1.0, 49.0, 129.0)
 
         def fail_at_p1(x, a, b):
             x, a, b = np.broadcast_arrays(x, a, b)
-            hit = np.flatnonzero((a == 19.0) & (b == 129.0) & (x == q_1))
+            hit = np.flatnonzero((a == 49.0) & (b == 129.0) & (x == q_1))
             if hit.size:
                 i = hit[0]
                 raise ConvergenceError("forced failure", 100, (float(x[i]), float(a[i]), float(b[i])))
             return kernel(x, a, b)
 
         monkeypatch.setattr(fdist, "reg_inc_beta", fail_at_p1)
-        grid = GridSpec(200, 300)
-        limit = probe._seed(1.005, grid)[0] + probe._PRUNE_MARGIN
-        probe._certified_segments(1.005, np.arange(1, 201) / 2.0, 300, limit)
         caps = ["--d1-max", "200", "--d2-max", "300", "--a-max", "5"]
         assert cli.main(["inf", "--kappa", "1.005", *caps, *workers]) == cli.EXIT_NUMERICAL
-        assert "grid scan at kappa=1.005: convergence failure at (d1, d2) = (38, 258)" in capsys.readouterr().err
+        assert "grid scan at kappa=1.005: convergence failure at (d1, d2) = (98, 258)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
+    def test_cli_convergence_failure_in_seed_floor_names_cell(self, monkeypatch, capsys, workers):
+        # above 1 the seed's call takes each lemma row's floor, P_1 at
+        # d2 = d2_max; the kernel fails at row 38's, at q_1 only, so the
+        # cell named is the floor's and not the seed's own cell (38, 300)
+        # at q_kappa, which the same call evaluates
+        kernel = fdist.reg_inc_beta
+        q_1 = probe._threshold(1.0, 19.0, 150.0)
+
+        def fail_at_floor(x, a, b):
+            x, a, b = np.broadcast_arrays(x, a, b)
+            hit = np.flatnonzero((a == 19.0) & (b == 150.0) & (x == q_1))
+            if hit.size:
+                i = hit[0]
+                raise ConvergenceError("forced failure", 100, (float(x[i]), float(a[i]), float(b[i])))
+            return kernel(x, a, b)
+
+        monkeypatch.setattr(fdist, "reg_inc_beta", fail_at_floor)
+        caps = ["--d1-max", "200", "--d2-max", "300", "--a-max", "5"]
+        assert cli.main(["inf", "--kappa", "1.005", *caps, *workers]) == cli.EXIT_NUMERICAL
+        assert "grid scan at kappa=1.005: convergence failure at (d1, d2) = (38, 300)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
     def test_cli_convergence_failure_at_segment_end_names_cell(self, monkeypatch, capsys, workers):

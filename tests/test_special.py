@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 import sys
@@ -427,6 +428,21 @@ class TestRegLowerGamma:
             blocks.clear()
             assert reg_lower_gamma(a, x).tobytes() == want.tobytes()
             assert blocks and max(blocks) <= special._SERIES_BLOCK
+    @pytest.mark.parametrize(
+        "kappa, digest",
+        [
+            (0.5, "34c649aa439b27861b976b8d4e2a124ab1d6ded0a15ad693e8c27a03b1bb5039"),
+            (1.0, "208fcedd11f2d51330a47393b1db29dcd46381a5f621bdd3cf7eaa4a9374989d"),
+            (1.00005, "a0099ba9722f0c767a833ae06ee3ba4fd5a8eaef34cf9b79a4474f23c68697ec"),
+        ],
+    )
+    def test_series_limit_curve_bytes_pinned(self, kappa, digest):
+        # every term and partial sum of the series is positive, so its
+        # convergence test takes no abs; the limit curve over the default
+        # a-grid, all on the series at these kappas, keeps its bytes
+        vals = probe.limit_b(probe.default_a_grid(), kappa)
+        assert hashlib.sha256(vals.tobytes()).hexdigest() == digest
+
     def test_blocked_series_names_first_failure(self, monkeypatch):
         # at a cap of 100 steps, (200, 200), which needs 123, and (4000,
         # 4000) and (5000, 5000) fail among elements that converge within
