@@ -526,9 +526,10 @@ def _live_blocks(kappa, grid, limit, column=None):
     on rows with (kappa - 1)^2 a <= 1, the increment bound from the entry's
     first cell is too, with P_1 at the entry's segment end or at d2 = d2_max.
 
-    column is _seed's last element, taken here by _seed when the caller does
-    not have it: at kappa <= 1 each row's last segment bound, above 1 P_1 at
-    each lemma row's first segment end and at d2 = d2_max, the row's floor.
+    column is _seed's last element, taken here in a _segment_bound call of
+    its own when the caller does not have it: at kappa <= 1 each row's last
+    segment bound, above 1 P_1 at each lemma row's first segment end and at
+    d2 = d2_max, the row's floor.
     Above 1 the segments from each lemma row's floor suffix start on
     (_floor_suffix) are dead from the start, and the segment cut searches
     only below it. The block level and the strip level each bound, in one
@@ -545,9 +546,14 @@ def _live_blocks(kappa, grid, limit, column=None):
     n_entries = -(-b.size // _RUN)
     if limit >= 1.0:
         return np.ones((a.size, n_entries), dtype=bool)
-    if column is None:
-        column = _seed(kappa, grid)[3]
     n_seg = -(-b.size // _SEGMENT)
+    if column is None:
+        if kappa <= 1.0:
+            column = _segment_bound(kappa, a, _segment_ends(n_seg - 1, grid.d2_max))
+        else:
+            lemma = a[(kappa - 1.0) ** 2 * a <= 1.0]
+            ends = np.array([_segment_ends(0, grid.d2_max), grid.d2_max / 2.0])
+            column = _segment_bound(kappa, lemma[None, :], ends[:, None])
     stop = np.full(a.size, n_seg)
     if kappa > 1.0:
         # P_1 at the first segment's end, and the floor
@@ -555,15 +561,14 @@ def _live_blocks(kappa, grid, limit, column=None):
         stop[: floor.size] = _floor_suffix(kappa, a[: floor.size], floor, b, limit)
     segments = _certified_segments(kappa, a, grid.d2_max, limit, column, stop)
     per_seg = _SEGMENT // _RUN
-    # each row live from its certified segments to its floor suffix start,
-    # one run of entries laid out by np.repeat; padded to whole blocks and
-    # whole segments, and pad entries stay dead
+    # each row live from its certified segments to its floor suffix start;
+    # padded to whole blocks and whole segments, and pad entries stay dead
     n_cols = n_seg * per_seg
     first = np.full(-(-a.size // _BLOCK) * _BLOCK, n_cols)
     last = first.copy()
     first[: a.size], last[: a.size] = per_seg * segments, per_seg * stop
-    spans = np.stack([first, last - first, n_cols - last], axis=1).ravel()
-    live = np.repeat(np.tile([False, True, False], first.size), spans).reshape(first.size, n_cols)
+    cols = np.arange(n_cols)
+    live = (cols >= first[:, None]) & (cols < last[:, None])
     live[:, n_entries:] = False
     stages = [_bound_blocks, _bound_strips]
     if kappa > 1.0:

@@ -910,6 +910,13 @@ class TestGridInfimum:
             return kernel(x, a, b)
 
         monkeypatch.setattr(fdist, "reg_inc_beta", fail_at_p1)
+        grid = GridSpec(200, 300)
+        *seed, (head, floor) = probe._seed(1.005, grid)
+        limit = seed[0] + probe._PRUNE_MARGIN
+        a = np.arange(1, 201) / 2.0
+        stop = np.full(a.size, 5)
+        stop[: floor.size] = probe._floor_suffix(1.005, a[: floor.size], floor, np.arange(3, 301) / 2.0, limit)
+        probe._certified_segments(1.005, a, 300, limit, head, stop)
         caps = ["--d1-max", "200", "--d2-max", "300", "--a-max", "5"]
         assert cli.main(["inf", "--kappa", "1.005", *caps, *workers]) == cli.EXIT_NUMERICAL
         assert "grid scan at kappa=1.005: convergence failure at (d1, d2) = (98, 258)" in capsys.readouterr().err
