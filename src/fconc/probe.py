@@ -568,7 +568,9 @@ def _live_blocks(kappa, grid, limit, column=None):
     last = first.copy()
     first[: a.size], last[: a.size] = per_seg * segments, per_seg * stop
     cols = np.arange(n_cols)
-    live = (cols >= first[:, None]) & (cols < last[:, None])
+    # in place: a third full-mask temporary adds 0.5 MiB to peak RSS
+    live = cols >= first[:, None]
+    live &= cols < last[:, None]
     live[:, n_entries:] = False
     stages = [_bound_blocks, _bound_strips]
     if kappa > 1.0:
