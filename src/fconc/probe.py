@@ -93,7 +93,11 @@ cells, and three at 1.00005: two for the segment cut and one in the
 increment stage, after which too few cells are live for a block level.
 It makes seven at 1.001 and 1.005 (four for the cut, one in the stage and
 one for each block level) and three at 1.05 (the stage and the two block
-levels).
+levels). Between those calls the pass's bookkeeping is O(rows + live
+entries), beside a few byte-per-entry passes over its rows x 4-column mask:
+the mask is laid out from each row's runs of dead and live entries, a block
+is held if one of its 16 four-entry words is nonzero, and each stripe
+gathers its cells from its live entries alone.
 """
 
 from __future__ import annotations
@@ -329,7 +333,8 @@ def _certified_segments(kappa, a, d2_max, limit, taken=None, stop=None):
     about a.size of them (see _spread_ends), so the search takes few calls.
     Above 1, when the open ends are more than that, the first of these calls
     takes each row's last end before stop: near kappa = 1 it certifies most
-    open rows whole (678 of 728 at full caps and kappa = 1.00005).
+    open rows whole (555 of 605 at full caps and kappa = 1.00005), but it
+    rarely pays elsewhere (128 of 1,785 rows at 1.001, 9 of 1,942 at 1.005).
     """
     n_seg = -(-(d2_max - 2) // _SEGMENT)
     known = n_seg - 1 if kappa <= 1.0 else 0
@@ -361,11 +366,11 @@ def _certified_segments(kappa, a, d2_max, limit, taken=None, stop=None):
 
 
 def _held_blocks(live):
-    """Which 16 x 16 blocks of live, a rows x 4-column mask padded to whole
-    blocks, hold a live entry: a block rows x block columns mask."""
-    per_block = _BLOCK // _RUN
-    block_rows = live.reshape(-1, _BLOCK, live.shape[1]).any(axis=1)
-    return block_rows.reshape(block_rows.shape[0], -1, per_block).any(axis=2)
+    """Which 16 x 16 blocks of live, a C-contiguous rows x 4-column mask
+    padded to whole blocks, hold a live entry: a block rows x block columns
+    mask. A block column's four bool entries are read as one uint32 word."""
+    words = live.view(np.uint32)
+    return np.bitwise_or.reduce(words.reshape(-1, _BLOCK, words.shape[1]), axis=1) != 0
 
 
 def _block_corners(a, b, rows, cols):
@@ -562,16 +567,15 @@ def _live_blocks(kappa, grid, limit, column=None):
     segments = _certified_segments(kappa, a, grid.d2_max, limit, column, stop)
     per_seg = _SEGMENT // _RUN
     # each row live from its certified segments to its floor suffix start;
-    # padded to whole blocks and whole segments, and pad entries stay dead
-    n_cols = n_seg * per_seg
-    first = np.full(-(-a.size // _BLOCK) * _BLOCK, n_cols)
+    # padded to whole blocks and whole segments, and pad entries stay dead:
+    # per row, runs of dead, live and dead entries
+    n_rows, n_cols = -(-a.size // _BLOCK) * _BLOCK, n_seg * per_seg
+    first = np.full(n_rows, n_entries)
     last = first.copy()
-    first[: a.size], last[: a.size] = per_seg * segments, per_seg * stop
-    cols = np.arange(n_cols)
-    # in place: a third full-mask temporary adds 0.5 MiB to peak RSS
-    live = cols >= first[:, None]
-    live &= cols < last[:, None]
-    live[:, n_entries:] = False
+    first[: a.size] = np.minimum(per_seg * segments, n_entries)
+    last[: a.size] = np.minimum(per_seg * stop, n_entries)
+    runs = np.stack([first, last - first, n_cols - last], axis=1)
+    live = np.tile([False, True, False], n_rows).repeat(runs.ravel()).reshape(n_rows, n_cols)
     stages = [_bound_blocks, _bound_strips]
     if kappa > 1.0:
         stages.insert(0, lambda *args: _certify_increment(*args, grid.d2_max, column))
@@ -591,11 +595,12 @@ def _scan_stripe(args):
     argmin gives the smallest d1, then smallest d2, among exact ties.
     """
     d1_lo, live, d2_max, kappa = args
-    a = np.arange(d1_lo, d1_lo + live.shape[0], dtype=np.int64) / 2.0
-    b = np.arange(3, d2_max + 1, dtype=np.int64) / 2.0
-    live = live.repeat(_RUN, axis=1)[:, : b.size]
-    a_cells, b_cells = np.broadcast_arrays(a[:, None], b[None, :])
-    return _min_cell(kappa, a_cells[live], b_cells[live])
+    rows, entries = np.nonzero(live)
+    # each entry's four columns, less the last entry's overhang past d2_max
+    cols = (_RUN * entries[:, None] + np.arange(_RUN)).ravel()
+    keep = cols <= d2_max - 3
+    a = (d1_lo + rows.repeat(_RUN)[keep]) / 2.0
+    return _min_cell(kappa, a, (3 + cols[keep]) / 2.0)
 
 
 def _seed(kappa, grid):
@@ -659,11 +664,9 @@ def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, workers: Optional[int] = 
         # the seed has evaluated row d1 = 1, and its first-occurrence argmin
         # is the lexicographic minimum of those cells
         live[0] = False
-        jobs = [
-            (lo + 1, rows, grid.d2_max, k)
-            for lo in range(0, grid.d1_max, _STRIPE_ROWS)
-            if (rows := live[lo : lo + _STRIPE_ROWS]).any()
-        ]
+        starts = range(0, grid.d1_max, _STRIPE_ROWS)
+        held = np.logical_or.reduceat(live.any(axis=1), starts)
+        jobs = [(lo + 1, live[lo : lo + _STRIPE_ROWS], grid.d2_max, k) for lo, h in zip(starts, held) if h]
         if workers is not None and workers > 1 and len(jobs) > 1:
             # imported only here: the pool's modules add ~20 ms to every
             # fconc import. A forking pool starts all max_workers processes
@@ -692,16 +695,22 @@ def limit_b(a, kappa):
     return reg_lower_gamma(arr, _check_kappa(kappa, arr) * arr)
 
 
-def limit_curve_min(kappa, a_grid):
-    """Minimum of the limit curve over an ascending a-grid.
-
-    Returns (min value, argmin a); ties resolve to the smallest a.
-    """
+def _check_a_grid(a_grid):
+    """a_grid as a float array; a ValueError unless nonempty and strictly ascending."""
     grid = np.asarray(a_grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("a_grid must be nonempty")
     if (np.diff(grid) <= 0.0).any():
         raise ValueError("a_grid must be strictly ascending")
+    return grid
+
+
+def limit_curve_min(kappa, a_grid):
+    """Minimum of the limit curve over an ascending a-grid.
+
+    Returns (min value, argmin a); ties resolve to the smallest a.
+    """
+    grid = _check_a_grid(a_grid)
     vals = limit_b(grid, kappa)
     i = int(np.argmin(vals))  # first occurrence: smallest a on ties
     return float(vals[i]), float(grid[i])
@@ -735,10 +744,10 @@ def infimum(kappa, grid: GridSpec = DEFAULT_GRID, a_grid=None, workers: Optional
     b-monotonicity theorem at kappa <= 1 and, through the increment bound,
     at kappa > 1 near 1 (at full caps it certifies 94.4% of the grid at
     1.005 and 39.1% at 1.05), so the grid minimum leans on the theorem there;
-    verify.check_monotone_b keeps testing it on its own sample.
+    verify.check_monotone_b keeps testing it on its own sample. A malformed
+    a_grid is rejected before the grid scan, as limit_curve_min rejects it.
     """
-    if a_grid is None:
-        a_grid = default_a_grid()
+    a_grid = _check_a_grid(default_a_grid() if a_grid is None else a_grid)
     k = _check_kappa(kappa, np.append(grid.d1_max / 2.0, a_grid))
     gres = grid_infimum(k, grid, workers)
     lmin, larg = limit_curve_min(k, a_grid)

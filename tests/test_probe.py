@@ -651,12 +651,17 @@ class TestGridInfimum:
         assert (bound <= cells + REG_INC_BETA_ABS_ERR).all()
 
     @pytest.mark.parametrize("kappa", [1.0002, 1.02])
-    @pytest.mark.parametrize("grid", [GridSpec(61, 90), GridSpec(77, 131)])
+    @pytest.mark.parametrize(
+        "grid",
+        [GridSpec(61, 90), GridSpec(77, 131), GridSpec(1, 3), GridSpec(17, 5), GridSpec(129, 67)],
+    )
     def test_floor_pruned_search_matches_full_grid(self, kappa, grid):
         # caps off the block and segment sides, so the floor suffix and the
-        # cut below it meet a clamped last segment; every cell in one call is
-        # the oracle, with workers None and 2, and each 16-row band is held
-        # to its own minimum as incumbent: the pass keeps that cell live
+        # cut below it meet a clamped last segment, and (1, 3), (17, 5) and
+        # (129, 67) off every stripe, block and entry side too; every cell in
+        # one call is the oracle, with workers None and 2, and each 16-row
+        # band is held to its own minimum as incumbent: the pass keeps that
+        # cell live
         d1, d2 = np.meshgrid(np.arange(1, grid.d1_max + 1), np.arange(3, grid.d2_max + 1), indexing="ij")
         vals = reg_inc_beta(probe._threshold(kappa, d1 / 2.0, d2 / 2.0), d1 / 2.0, d2 / 2.0)
 
@@ -671,6 +676,82 @@ class TestGridInfimum:
             value, row, col = first_min(slice(lo, lo + 16))
             live = probe._live_blocks(kappa, grid, value + probe._PRUNE_MARGIN)
             assert live[row - 1, (col - 3) // probe._RUN]
+
+    @pytest.mark.parametrize("grid", [GridSpec(1, 3), GridSpec(17, 5), GridSpec(100, 67), GridSpec(300, 401)])
+    def test_live_mask_runs_match_two_comparisons(self, monkeypatch, rng, grid):
+        # the pass lays each row out as runs of dead, live and dead entries;
+        # the reference is the two comparisons it replaced, over random
+        # certified segments and floor suffix starts on a random lemma
+        # prefix, rows past it stopping at the segment count. Rows certified
+        # whole (first >= n_entries) and empty runs (stop = segments) are
+        # forced; the cut never passes stop. Every stage runs and the first
+        # records the full mask, pad rows and pad entries included
+        n_rows = -(-grid.d1_max // probe._BLOCK) * probe._BLOCK
+        n_entries = -(-(grid.d2_max - 2) // probe._RUN)
+        n_seg = -(-(grid.d2_max - 2) // probe._SEGMENT)
+        per_seg = probe._SEGMENT // probe._RUN
+        for _ in range(10):
+            n_lemma = int(rng.integers(0, grid.d1_max + 1))
+            stop = np.full(grid.d1_max, n_seg)
+            stop[:n_lemma] = rng.integers(0, n_seg + 1, n_lemma)
+            segments = rng.integers(0, stop + 1)
+            segments[::3] = stop[::3]
+            segments[::5] = n_seg
+            stop[::5] = n_seg
+            recorded = []
+            monkeypatch.setattr(probe, "_floor_suffix", lambda kappa, a, floor, b, limit: stop[: floor.size])
+            monkeypatch.setattr(probe, "_certified_segments", lambda *args: segments)
+            monkeypatch.setattr(probe, "_open_cells", lambda live, n_cells: math.inf)
+            monkeypatch.setattr(probe, "_certify_increment", lambda kappa, a, b, live, *rest: recorded.append(live.copy()))
+            monkeypatch.setattr(probe, "_bound_blocks", lambda *args: None)
+            monkeypatch.setattr(probe, "_bound_strips", lambda *args: None)
+            column = np.zeros((2, n_lemma))
+            cut = probe._live_blocks(1.00005, grid, 0.5, column)
+
+            first = np.full(n_rows, n_seg * per_seg)
+            last = first.copy()
+            first[: grid.d1_max], last[: grid.d1_max] = per_seg * segments, per_seg * stop
+            cols = np.arange(n_seg * per_seg)
+            expected = (cols >= first[:, None]) & (cols < last[:, None])
+            expected[:, n_entries:] = False
+            (live,) = recorded
+            np.testing.assert_array_equal(live, expected)
+            np.testing.assert_array_equal(cut, expected[: grid.d1_max, :n_entries])
+
+    @pytest.mark.parametrize("shape", [(16, 4), (32, 16), (128, 500), (2000, 512)])
+    def test_held_blocks_match_reshape_and_any(self, rng, shape):
+        # the uint32 word reduction against the reshape-and-any it replaced
+        per_block = probe._BLOCK // probe._RUN
+        for density in (0.0, 0.001, 0.05, 0.5):
+            live = rng.random(shape) < density
+            block_rows = live.reshape(-1, probe._BLOCK, shape[1]).any(axis=1)
+            expected = block_rows.reshape(block_rows.shape[0], -1, per_block).any(axis=2)
+            np.testing.assert_array_equal(probe._held_blocks(live), expected)
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.00005, 1.5])
+    @pytest.mark.parametrize("grid", [GridSpec(300, 1999), GridSpec(61, 90), GridSpec(200, 67)])
+    def test_stripe_cells_match_broadcast_gather(self, monkeypatch, rng, kappa, grid):
+        # a stripe's cells, in order, against the broadcast gather they
+        # replaced, on the pass's own mask and on random ones whose last
+        # entry, which overhangs d2_max = 1999 and 67 by 3 and 1 cells, is
+        # live; the last stripe of each grid is short
+        gathered = []
+        monkeypatch.setattr(probe, "_min_cell", lambda kappa, a, b: gathered.append((a, b)))
+        b = np.arange(3, grid.d2_max + 1, dtype=np.int64) / 2.0
+        limit = probe._seed(kappa, grid)[0] + probe._PRUNE_MARGIN
+        masks = [probe._live_blocks(kappa, grid, limit), rng.random((grid.d1_max, -(-b.size // probe._RUN))) < 0.1]
+        masks[1][::7, -1] = True
+        for live in masks:
+            for lo in range(0, grid.d1_max, probe._STRIPE_ROWS):
+                rows = live[lo : lo + probe._STRIPE_ROWS]
+                probe._scan_stripe((lo + 1, rows, grid.d2_max, kappa))
+                a = np.arange(lo + 1, lo + 1 + rows.shape[0], dtype=np.int64) / 2.0
+                cells = rows.repeat(probe._RUN, axis=1)[:, : b.size]
+                a_cells, b_cells = np.broadcast_arrays(a[:, None], b[None, :])
+                (got_a, got_b), = gathered
+                gathered.clear()
+                np.testing.assert_array_equal(got_a, a_cells[cells], strict=True)
+                np.testing.assert_array_equal(got_b, b_cells[cells], strict=True)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1141,6 +1222,17 @@ class TestInfimum:
         res = infimum(2.0, GridSpec(30, 30), a_grid=np.arange(1, 301) / 2.0)
         assert res.exact_inf is None
         assert FLAG_CONJECTURE_REGIME in res.flags
+
+    @pytest.mark.parametrize("a_grid, message", [([], "nonempty"), ([0.5, 0.4], "strictly ascending")])
+    def test_malformed_a_grid_rejected_before_the_scan(self, monkeypatch, a_grid, message):
+        # the scan at full caps takes seconds at kappa = 0.5; the a_grid
+        # checks that limit_curve_min makes run first
+        def scan(*args):
+            raise AssertionError("grid_infimum called")
+
+        monkeypatch.setattr(probe, "grid_infimum", scan)
+        with pytest.raises(ValueError, match=message):
+            infimum(0.5, a_grid=a_grid)
 
     def test_regime_switch_is_exact_comparison(self):
         just_above = math.nextafter(1.0, 2.0)
