@@ -55,7 +55,8 @@ Three ingredients:
   on the theorem, for kappa <= 1 and for kappa > 1 near 1 alike, which
   verify.check_monotone_b tests on its own sample;
 * the b -> infinity limit curve g_kappa(a) = P(a, kappa*a), whose minimum
-  over an a-grid is the second infimum candidate;
+  over an a-grid is the second infimum candidate; limit_curve_min sums a
+  series element only until it is certified above the minimum;
 * the closed-form answers for kappa <= 1 (0 below 1, 1/2 at 1, neither
   attained), which are reported alongside the numerical evidence rather
   than assumed.
@@ -83,9 +84,11 @@ the grid: at full caps every row up to kappa = 1.0316, d1 <= 799 at 1.05,
 One pass in the calling process decides which cells to evaluate; the live
 cells are evaluated in d1 stripes whose per-cell arithmetic does not depend
 on stripe boundaries, so results are bit-identical for any worker count.
-Near kappa = 1 the pass's cost is per continued-fraction call, some 3-7 ms
-at the caps' shapes whatever the call's size, so each of its stages takes
-its bounds in as few calls as it can, and the pass stops once the live
+Near kappa = 1 the pass's cost is mostly per continued-fraction call: at
+full caps and kappa = 1.00005 the cut's and the stage's calls, of 25 to
+1,381 elements, take 1.2-2.3 ms each, and the seed's call of 7,994 takes
+5.3 ms (in-process medians, 2-core VM). So each of its stages takes its
+bounds in as few calls as it can, and the pass stops once the live
 cells number at most d1_max: evaluating them costs about one more call,
 and a further stage could only spend one. At full caps the pass makes no
 bound call at kappa = 0.9 and 1, where the seed leaves one row of 1,997
@@ -115,6 +118,7 @@ from .special import (
     REG_INC_BETA_ABS_ERR,
     ConvergenceError,
     _grid_beta_density,
+    _lower_gamma,
     _tail_bound,
     reg_inc_beta,
     reg_lower_gamma,
@@ -684,15 +688,20 @@ def grid_infimum(kappa, grid: GridSpec = DEFAULT_GRID, workers: Optional[int] = 
     return ProbeResult(kappa=k, grid_min=best_val, argmin_d1=best_d1, argmin_d2=best_d2, grid=grid)
 
 
+def _limit_args(a, kappa):
+    """(a, kappa * a) as float arrays, limit_b's checked arguments."""
+    arr = np.asarray(a, dtype=np.float64)
+    if (arr <= 0.0).any():
+        raise ValueError("limit_b requires a > 0")
+    return arr, _check_kappa(kappa, arr) * arr
+
+
 def limit_b(a, kappa):
     """The b -> infinity limit of I_{q(a,b,kappa)}(a, b): P(a, kappa*a).
 
     A kappa * a that overflows is a ValueError naming kappa and that a.
     """
-    arr = np.asarray(a, dtype=np.float64)
-    if (arr <= 0.0).any():
-        raise ValueError("limit_b requires a > 0")
-    return reg_lower_gamma(arr, _check_kappa(kappa, arr) * arr)
+    return reg_lower_gamma(*_limit_args(a, kappa))
 
 
 def _check_a_grid(a_grid):
@@ -708,10 +717,32 @@ def _check_a_grid(a_grid):
 def limit_curve_min(kappa, a_grid):
     """Minimum of the limit curve over an ascending a-grid.
 
-    Returns (min value, argmin a); ties resolve to the smallest a.
+    Returns (min value, argmin a); ties resolve to the smallest a. Both are
+    limit_b's, bit for bit, with less work. Three kinds of element are
+    evaluated in full: those on reg_lower_gamma's continued fraction, the
+    last on its series, and, for kappa > 1, the series element nearest
+    a = 1/(3 (kappa - 1)), about where the curve's minimum sits near
+    kappa = 1 (ROADMAP item 8). Every other element sums its series only
+    until its value exceeds the least of those (special._gamma_series): its
+    full value would exceed it too, so it is neither the minimum nor tied
+    with it. A stopped element need not converge, so where limit_b raises
+    ConvergenceError this may return; when it raises, limit_b's own
+    evaluation reruns, so the element named is the one limit_b names.
     """
-    grid = _check_a_grid(a_grid)
-    vals = limit_b(grid, kappa)
+    grid, x = _limit_args(_check_a_grid(a_grid), kappa)
+    kappa = float(kappa)
+    # reg_lower_gamma's series branch
+    series = np.flatnonzero((x != 0.0) & (x < grid + 1.0))
+    full = np.ones(grid.size, dtype=bool)
+    full[series[:-1]] = False
+    if kappa > 1.0 and series.size:
+        full[series[np.argmin(np.abs(grid[series] - 1.0 / (3.0 * (kappa - 1.0))))]] = True
+    try:
+        vals = np.empty(grid.size)
+        vals[full] = reg_lower_gamma(grid[full], x[full])
+        vals[~full] = _lower_gamma(grid[~full], x[~full], vals[full].min())
+    except ConvergenceError:
+        vals = reg_lower_gamma(grid, x)
     i = int(np.argmin(vals))  # first occurrence: smallest a on ties
     return float(vals[i]), float(grid[i])
 

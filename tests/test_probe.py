@@ -1187,6 +1187,35 @@ class TestLimitCurve:
         assert arg == 1.0
         assert mn == pytest.approx(1.0 - math.exp(-1.5), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "a_grid",
+        [default_a_grid(1e4), default_a_grid(1e3), default_a_grid(300), default_a_grid(5e4), np.arange(1, 40001) / 2.0],
+        ids=["default", "a_max_1e3", "a_max_300", "a_max_5e4", "half_integers_to_2e4"],
+    )
+    def test_certified_stop_matches_full_curve(self, a_grid):
+        # limit_curve_min stops series elements once above the least fully
+        # evaluated value; its minimum and first-occurrence argmin are the
+        # full curve's, the value hex for hex
+        kappas = (0.25, 0.5, 0.9, 0.999, 1.0, 1.00001, 1.00005, 1.0002, 1.001, 1.005, 1.02, 1.05, 1.1, 1.5, 3.0, 16.0)
+        for kappa in kappas:
+            vals = limit_b(a_grid, kappa)
+            i = int(np.argmin(vals))
+            mn, arg = limit_curve_min(kappa, a_grid)
+            assert (mn.hex(), arg) == (float(vals[i]).hex(), float(a_grid[i])), kappa
+
+    def test_certified_stop_names_the_full_curves_failure(self):
+        # past a = 7e4 the series at kappa = 1 exceeds its cap (ROADMAP item
+        # 24); limit_curve_min raises limit_b's error, naming the same a,
+        # though the failing elements it evaluates first lie further out
+        a_grid = default_a_grid(1e6)
+        with pytest.raises(ConvergenceError) as full:
+            limit_b(a_grid, 1.0)
+        with pytest.raises(ConvergenceError) as stopped:
+            limit_curve_min(1.0, a_grid)
+        assert str(stopped.value) == str(full.value)
+        assert stopped.value.args_at_failure == full.value.args_at_failure
+        assert full.value.args_at_failure[0] == pytest.approx(70794.6, rel=1e-6)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             limit_curve_min(1.0, [])

@@ -2,6 +2,7 @@ import hashlib
 import math
 import pickle
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -503,3 +504,144 @@ class TestRegLowerGamma:
             reg_lower_gamma(0.0, 1.0)
         with pytest.raises(ValueError):
             reg_lower_gamma(1.0, -0.5)
+
+
+def _guarded_fraction(start, step, what, report):
+    # reference: the Lentz loop with its guards on every step, as it ran
+    # before the guard-free first pass
+    return special._converge(lambda s, m, tol: step(s, m, tol, True), start(), what, report)
+
+
+def _unguarded_fraction(start, step, what, report):
+    # the first pass alone, with no guarded rerun
+    with np.errstate(divide="raise", invalid="raise"):
+        return special._converge(lambda s, m, tol: step(s, m, tol, False), start(), what, report)
+
+
+class TestGuardFreeLentz:
+    """Both Lentz fractions run first without the _TINY guards and rerun
+    guarded on a raise or at the cap; every value and failure is the
+    guarded loop's."""
+
+    @staticmethod
+    def _both(monkeypatch, fn, *args):
+        fast = fn(*args)
+        with monkeypatch.context() as m:
+            m.setattr(special, "_lentz_converge", _guarded_fraction)
+            guarded = fn(*args)
+        return fast, guarded
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 1.00005, 1.005, 1.5, 3.005, 16.0])
+    def test_grid_probes_match_guarded_loop(self, monkeypatch, kappa):
+        # a lattice through the full-caps grid, rows and columns off every
+        # stride the pass uses
+        a = np.arange(1, 2000, 13)[:, None] / 2.0
+        b = np.arange(3, 2000, 17)[None, :] / 2.0
+        fast, guarded = self._both(monkeypatch, fdist._probe, kappa, a, b)
+        assert fast.tobytes() == guarded.tobytes()
+
+    def test_suite_sample_matches_guarded_loop(self, monkeypatch):
+        # the one continued-fraction call of a full verification suite
+        from fconc import verify
+
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return reg_inc_beta(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(verify, "reg_inc_beta", record)
+            verify.run_suite("full", seed=1729)
+        (args,) = calls
+        fast, guarded = self._both(monkeypatch, reg_inc_beta, *args)
+        assert fast.tobytes() == guarded.tobytes()
+
+    def test_upper_gamma_fraction_matches_guarded_loop(self, monkeypatch):
+        g = np.random.default_rng(11)
+        a = np.exp(g.uniform(np.log(0.5), np.log(5e4), 2000))
+        x = (a + 1.0) * np.exp(g.uniform(0.0, np.log(50.0), a.size))
+        cases = [(a, x)] + [(probe.default_a_grid(), kappa * probe.default_a_grid()) for kappa in (1.5, 3.0, 16.0)]
+        for aa, xx in cases:
+            assert (xx >= aa + 1.0).any()
+            fast, guarded = self._both(monkeypatch, reg_lower_gamma, aa, xx)
+            assert fast.tobytes() == guarded.tobytes()
+
+    def test_exact_zero_denominator_falls_back(self, monkeypatch):
+        # x = 0.75, a = 1, b = 2: d starts at 1 / (1 - 3 * 0.75 / 2) = -8 and
+        # the first numerator is 0.75 / 6 = 0.125, so a_1 d = -1 exactly and
+        # the first denominator is 0. The unguarded loop raises at 1 / d,
+        # the guarded one carries _TINY, and the call gives the guarded value
+        # with no RuntimeWarning
+        x, a, b = np.array([0.75]), np.array([1.0]), np.array([2.0])
+        report = {"x": x, "a": a, "b": b}
+        with monkeypatch.context() as m:
+            m.setattr(special, "_lentz_converge", _unguarded_fraction)
+            with pytest.raises(FloatingPointError):
+                special._beta_cf(x, a, b, report)
+        lentz, guards, guarded_d = special._lentz, [], []
+
+        def watching(s, an, bn, guard):
+            guards.append(guard)
+            out = lentz(s, an, bn, guard)
+            guarded_d.append(float(s.d[0]))
+            return out
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            monkeypatch.setattr(special, "_lentz", watching)
+            fast = special._beta_cf(x, a, b, report)
+            # the unguarded first half-step raised; the rerun's first d is
+            # 1 / _TINY
+            assert guards[0] is False and all(guards[1:])
+            assert guarded_d[0] == 1.0 / special._TINY
+            monkeypatch.setattr(special, "_lentz_converge", _guarded_fraction)
+            guarded = special._beta_cf(x, a, b, report)
+        assert fast.tobytes() == guarded.tobytes()
+
+    def test_failures_match_guarded_loop_at_cap(self, monkeypatch):
+        # at a cap of 100 iterations the unguarded pass fails, the guarded
+        # rerun fails too, and its error is the one raised: same message,
+        # iterations and arguments, on both fractions
+        monkeypatch.setattr(special, "_CF_MAX_ITER", 100)
+        x = np.array([0.25, 0.50005, 0.3, 0.50005])
+        a = np.array([2.0, 30000.0, 4.0, 30001.0])
+        b = np.array([3.0, 30010.0, 5.0, 30011.0])
+        ga = np.array([500.0, 3000.0, 2.0, 10000.0])
+        cases = [(reg_inc_beta, (x, a, b)), (reg_lower_gamma, (ga, ga + 1.0))]
+        for fn, args in cases:
+            errors = []
+            for patch in (None, _guarded_fraction):
+                with monkeypatch.context() as m:
+                    if patch:
+                        m.setattr(special, "_lentz_converge", patch)
+                    with pytest.raises(ConvergenceError) as err:
+                        fn(*args)
+                errors.append((str(err.value), err.value.iterations, err.value.args_at_failure))
+            assert errors[0] == errors[1]
+            assert errors[0][2] == tuple(float(v[1]) for v in args)
+
+    def test_no_guarded_rerun_on_the_tables_and_suites(self, monkeypatch, capsys):
+        # the full-caps table and verification suites 0-63 never take the
+        # guarded loop: every one of their fractions is decided unguarded
+        from fconc import cli
+
+        runs = {"fractions": 0, "guarded_steps": 0}
+        fraction = special._lentz_converge
+
+        def counted(start, step, what, report):
+            runs["fractions"] += 1
+
+            def counted_step(s, m, tol, guard):
+                runs["guarded_steps"] += guard
+                return step(s, m, tol, guard)
+
+            return fraction(start, counted_step, what, report)
+
+        monkeypatch.setattr(special, "_lentz_converge", counted)
+        assert cli.main(["table", "--format", "csv"]) == 0
+        for seed in range(64):
+            assert cli.main(["verify", "--profile", "full", "--seed", str(seed), "--format", "json"]) == 0
+        capsys.readouterr()
+        assert runs["fractions"] > 100
+        assert runs["guarded_steps"] == 0

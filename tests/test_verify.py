@@ -188,6 +188,18 @@ class TestQuadIncBeta:
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
 
+    def test_exp_skipped_where_it_rounds_to_zero(self, monkeypatch):
+        # the oracle writes 0.0 for a node exponent at or below
+        # _EXP_ZERO_AT, off numpy's slow underflow path: exp is 0.0 there
+        # already, scalar and vector loop alike, so a full suite's oracle
+        # sample keeps its bits with every exp taken
+        assert np.exp(fconc.verify._EXP_ZERO_AT) == 0.0
+        assert not np.exp(np.linspace(-1000.0, fconc.verify._EXP_ZERO_AT, 1001)).any()
+        s = fconc.verify._triple_sample(np.random.default_rng(1729), 500, 2000.0)
+        got = quad_inc_beta(s[:, 0], s[:, 1], s[:, 2])
+        monkeypatch.setattr(fconc.verify, "_EXP_ZERO_AT", -math.inf)
+        assert quad_inc_beta(s[:, 0], s[:, 1], s[:, 2]).tobytes() == got.tobytes()
+
     @pytest.mark.parametrize("seed", [1729, 7, 19])
     def test_absolute_error_against_mpmath(self, seed):
         # the oracle held to an independent 40-digit value on the sample the

@@ -7,7 +7,9 @@
 BASE and HEAD are checkout roots; fconc is imported from each one's src/.
 Each round runs every --op (an fconc argv, split as a shell would) on both,
 in alternating order, so drift in the machine's speed falls on both alike.
-Prints each operation's median and quartiles in ms per checkout, and exits
+Prints each operation's median and quartiles in ms per checkout, then the
+sum of the operations' medians, which is how the benchmark defines a
+workload's wall_s, so one line reads a workload's A/B. It exits
 with 1 if any operation's stdout or exit code differs between them.
 """
 
@@ -79,6 +81,9 @@ def main():
         q = [statistics.quantiles(times[c][i], n=4) for c in (0, 1)]
         cells = [f"{m:8.2f} [{lo:7.2f}, {hi:7.2f}]" for lo, m, hi in q]
         print(f"{cells[0]:>26} {cells[1]:>26} {q[1][1] / q[0][1] - 1:+7.1%}  {op}")
+    # a workload's wall_s in the benchmark is the sum of its operations' medians
+    sums = [sum(statistics.median(t) for t in times[c]) for c in (0, 1)]
+    print(f"{sums[0]:26.2f} {sums[1]:26.2f} {sums[1] / sums[0] - 1:+7.1%}  sum of medians")
     if differ:
         print("stdout or exit code differs between the checkouts", file=sys.stderr)
     return 1 if differ else 0
