@@ -318,23 +318,22 @@ def _spread_ends(lo, hi, rows, budget):
     return rows[k], lo[rows][k] + j * span[k] // (n[k] + 1)
 
 
-def _certified_segments(kappa, a, d2_max, limit, taken=None, stop=None):
+def _certified_segments(kappa, a, d2_max, limit, taken, stop):
     """Count of each row a's leading segments certified above limit, searched
-    below stop (each row's floor suffix start, see _floor_suffix; by default
-    every segment).
+    below stop (each row's floor suffix start, see _floor_suffix).
 
     A segment bound bounds its row up to the segment's end, so any segment
     bound above limit certifies the prefix ending there, whether or not the
-    computed bounds are monotone. One segment is taken for every row in one
-    call (taken, when the caller has it; rows past its end count as not
-    above): at kappa <= 1 the last, whose bound is the probe on column
-    d2 = d2_max, so a row above limit there is certified whole; above 1 the
-    first. Segments from stop on are certified by other means, so a row
-    whose prefix reaches stop needs no more, and the count never passes
-    stop. When the cells past what taken certifies number at most a.size,
-    no segment is searched: the pass leaves them to the stripes. Otherwise
-    each later call probes ends still open on the rows not yet decided,
-    about a.size of them (see _spread_ends), so the search takes few calls.
+    computed bounds are monotone. taken holds one segment bound a row, the
+    seed's (rows past its end count as not above): at kappa <= 1 the last,
+    whose bound is the probe on column d2 = d2_max, so a row above limit
+    there is certified whole; above 1 the first. Segments from stop on are
+    certified by other means, so a row whose prefix reaches stop needs no
+    more, and the count never passes stop. When the cells past what taken
+    certifies number at most a.size, no segment is searched: the pass
+    leaves them to the stripes. Otherwise each later call probes ends still
+    open on the rows not yet decided, about a.size of them (see
+    _spread_ends), so the search takes few calls.
     Above 1, when the open ends are more than that, the first of these calls
     takes each row's last end before stop: near kappa = 1 it certifies most
     open rows whole (555 of 605 at full caps and kappa = 1.00005), but it
@@ -342,10 +341,6 @@ def _certified_segments(kappa, a, d2_max, limit, taken=None, stop=None):
     """
     n_seg = -(-(d2_max - 2) // _SEGMENT)
     known = n_seg - 1 if kappa <= 1.0 else 0
-    if taken is None:
-        taken = _segment_bound(kappa, a, _segment_ends(known, d2_max))
-    if stop is None:
-        stop = n_seg
     above = np.zeros(a.size, dtype=bool)
     above[: taken.size] = taken > limit
     # segment lo's bound is above limit (or lo = -1), hi's not (or hi = stop)
@@ -528,17 +523,16 @@ def _open_cells(live, n_cells):
     return _RUN * np.count_nonzero(live) - overhang * np.count_nonzero(live[:, (n_cells - 1) // _RUN])
 
 
-def _live_blocks(kappa, grid, limit, column=None):
+def _live_blocks(kappa, grid, limit, column):
     """Grid rows x 4-column entries: True where the row's cells in the entry
     lie past its certified segments, the bounds of the 16 x 16 block and of
     the strip or strips holding them are at most limit, and, for kappa > 1
     on rows with (kappa - 1)^2 a <= 1, the increment bound from the entry's
     first cell is too, with P_1 at the entry's segment end or at d2 = d2_max.
 
-    column is _seed's last element, taken here in a _segment_bound call of
-    its own when the caller does not have it: at kappa <= 1 each row's last
-    segment bound, above 1 P_1 at each lemma row's first segment end and at
-    d2 = d2_max, the row's floor.
+    column is _seed's last element, the segment bounds the pass starts from:
+    at kappa <= 1 each row's last segment bound, above 1 P_1 at each lemma
+    row's first segment end and at d2 = d2_max, the row's floor.
     Above 1 the segments from each lemma row's floor suffix start on
     (_floor_suffix) are dead from the start, and the segment cut searches
     only below it. The block level and the strip level each bound, in one
@@ -556,13 +550,6 @@ def _live_blocks(kappa, grid, limit, column=None):
     if limit >= 1.0:
         return np.ones((a.size, n_entries), dtype=bool)
     n_seg = -(-b.size // _SEGMENT)
-    if column is None:
-        if kappa <= 1.0:
-            column = _segment_bound(kappa, a, _segment_ends(n_seg - 1, grid.d2_max))
-        else:
-            lemma = a[(kappa - 1.0) ** 2 * a <= 1.0]
-            ends = np.array([_segment_ends(0, grid.d2_max), grid.d2_max / 2.0])
-            column = _segment_bound(kappa, lemma[None, :], ends[:, None])
     stop = np.full(a.size, n_seg)
     if kappa > 1.0:
         # P_1 at the first segment's end, and the floor
@@ -705,8 +692,11 @@ def limit_b(a, kappa):
 
 
 def _check_a_grid(a_grid):
-    """a_grid as a float array; a ValueError unless nonempty and strictly ascending."""
+    """a_grid as a float array; a ValueError unless one-dimensional, nonempty
+    and strictly ascending."""
     grid = np.asarray(a_grid, dtype=np.float64)
+    if grid.ndim != 1:
+        raise ValueError("a_grid must be one-dimensional")
     if grid.size == 0:
         raise ValueError("a_grid must be nonempty")
     if (np.diff(grid) <= 0.0).any():

@@ -36,9 +36,12 @@ step-by-step series, and the iteration cap holds term for term. It serves
 the limit curve near kappa = 1, whose 60-point tail (a from 1000 to 1e4)
 runs up to ~830 steps, each a few numpy calls' overhead on a few dozen
 elements; 64 is the smallest measured block that holds the whole tail.
-A caller that needs only the values at or below some level may let each
-series element stop once its partial value exceeds it (_gamma_series's
-``above``); limit_curve_min does.
+The series has one stop rule: an element stops once it converges or its
+partial value exceeds a level, ``above``: infinite in reg_lower_gamma, the
+least value it needs in limit_curve_min. A stopped element's full value
+would exceed the level too, so every value at or below it is the full
+series', bit for bit, and at a level of 1 or more every value is, as both
+clip to 1.0 (_gamma_series).
 
 Both Lentz fractions, the incomplete beta's and the upper gamma's, run
 first with no guard against a vanishing denominator, under numpy's errstate
@@ -552,53 +555,45 @@ def _gamma_prefactor(a, x):
     return np.exp(a * np.log(x) - x - _ln_gamma_raw(a))
 
 
-def _gamma_series_step(s, m, tol, above=None):
+def _gamma_series_step(s, m, tol, above):
     # x > 0 and a > 0, so every term and partial sum is positive: no abs
     s.ap += 1.0
     s.delt *= s.x / s.ap
     s.h += s.delt
-    done = s.delt < s.h * tol
-    if above is not None:
-        done |= s.h * s.pref > above
-    return done
+    return (s.delt < s.h * tol) | (s.h * s.pref > above)
 
 
-def _gamma_series_block(s, n, tol, above=None):
+def _gamma_series_block(s, n, tol, above):
     # n of _gamma_series_step's steps at once, along a leading term axis:
     # each accumulate is the steps' own recurrence, one IEEE operation per
     # term in the steps' order, so every term is bit-identical to the step's
     ap = np.add.accumulate(np.vstack([s.ap, np.ones((n, s.ap.size))]))[1:]
     delt = np.multiply.accumulate(np.vstack([s.delt, s.x / ap]))[1:]
     h = np.add.accumulate(np.vstack([s.h, delt]))[1:]
-    done = delt < h * tol
-    if above is not None:
-        done |= h * s.pref > above
+    done = (delt < h * tol) | (h * s.pref > above)
     first = np.where(done.any(axis=0), done.argmax(axis=0), n - 1)
     s.ap, s.delt, s.h = ap[-1], delt[-1], h[first, np.arange(first.size)]
     return done.any(axis=0)
 
 
-def _gamma_series(a, x, above=None):
-    """P(a, x) by the lower-gamma power series, for x < a + 1.
+def _gamma_series(a, x, above):
+    """P(a, x) by the lower-gamma power series, for x < a + 1; each element
+    stops once it converges or its partial sum h gives h * prefactor > above,
+    and returns that partial value.
 
-    With a level above < 1 given, an element also stops once its partial
-    sum h gives h * prefactor > above, and returns that partial value. Its
-    terms are positive and rounding is monotone, so its full value,
-    min(total * prefactor, 1) after reg_lower_gamma's clip, would be at
-    least that, and so would exceed the level too: a caller that needs only
-    the values at or below the level, as limit_curve_min does, gets them
-    bit for bit. A stopped element need not converge, so a call that would
-    raise ConvergenceError may return.
+    Its terms are positive and rounding is monotone, so its full value would
+    be at least that and exceed the level too: a caller that needs only the
+    values at or below the level, as limit_curve_min does, gets them bit for
+    bit. At a level of 1 or more both values exceed 1, so reg_lower_gamma's
+    clip makes both 1.0; at above = inf no element stops early. A stopped
+    element need not converge, so a call that would raise ConvergenceError
+    may return.
     """
     pref = _gamma_prefactor(a, x)
-    s = SimpleNamespace(x=x, ap=a.copy(), h=1.0 / a)
+    s = SimpleNamespace(x=x, ap=a.copy(), h=1.0 / a, pref=pref)
     s.delt = s.h.copy()
-    step, block = _gamma_series_step, _gamma_series_block
-    if above is not None and above < 1.0:
-        # for above < 1, min(v, 1) > above exactly when v > above
-        s.pref = pref
-        step = lambda s, m, tol: _gamma_series_step(s, m, tol, above)
-        block = lambda s, n, tol: _gamma_series_block(s, n, tol, above)
+    step = lambda s, m, tol: _gamma_series_step(s, m, tol, above)
+    block = lambda s, n, tol: _gamma_series_block(s, n, tol, above)
     total = _converge(step, s, "lower incomplete gamma series", {"a": a, "x": x}, block)
     return total * pref
 
@@ -641,9 +636,9 @@ def reg_lower_gamma(a, x):
     return _finish(_lower_gamma(aa, xx), shape, scalar)
 
 
-def _lower_gamma(a, x, above=None):
-    """reg_lower_gamma over checked flat arrays; with above, each series
-    element may stop early at a value above it (see _gamma_series)."""
+def _lower_gamma(a, x, above=math.inf):
+    """reg_lower_gamma over checked flat arrays; each series element may stop
+    early at a value above the level above (see _gamma_series)."""
     out = np.empty_like(a)
     zero = x == 0.0
     out[zero] = 0.0

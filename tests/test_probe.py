@@ -121,10 +121,11 @@ class TestGridInfimum:
         # the grid argmin lies on the seed's row or column, so also hold each
         # stripe to its own minimum as incumbent: the block holding that cell
         # may not be pruned, wherever it lies
+        column = probe._seed(kappa, grid)[-1]
         for lo in range(0, grid.d1_max, 128):
             rows = slice(lo, min(lo + 128, grid.d1_max))
             expected = first_min(rows)
-            live = probe._live_blocks(kappa, grid, expected[0] + probe._PRUNE_MARGIN)
+            live = probe._live_blocks(kappa, grid, expected[0] + probe._PRUNE_MARGIN, column)
             job = (lo + 1, live[rows], grid.d2_max, kappa)
             assert probe._scan_stripe(job) == expected
 
@@ -166,7 +167,8 @@ class TestGridInfimum:
         # decide it the same way, so the mask is the one the fraction alone
         # gives, and the screen takes most of the bounds here
         grid = GridSpec(300, 400)
-        limit = probe._seed(kappa, grid)[0] + probe._PRUNE_MARGIN
+        *seed, column = probe._seed(kappa, grid)
+        limit = seed[0] + probe._PRUNE_MARGIN
         taken = []
         block_bound = probe._block_bound
 
@@ -175,11 +177,11 @@ class TestGridInfimum:
             return block_bound(kappa, a_lo, *rest)
 
         monkeypatch.setattr(probe, "_block_bound", recording)
-        screened = probe._live_blocks(kappa, grid, limit)
+        screened = probe._live_blocks(kappa, grid, limit, column)
         by_screen = sum(taken)
         taken.clear()
         monkeypatch.setattr(probe, "_screen", lambda kappa, a_lo, *rest: np.zeros(a_lo.size))
-        assert (screened == probe._live_blocks(kappa, grid, limit)).all()
+        assert (screened == probe._live_blocks(kappa, grid, limit, column)).all()
         assert by_screen < 0.5 * sum(taken)
 
     @pytest.mark.parametrize("kappa", [1.5, 3.005, 16.0])
@@ -293,7 +295,9 @@ class TestGridInfimum:
         limit = probe._seed(kappa, grid)[0] + probe._PRUNE_MARGIN
         a = np.arange(1, grid.d1_max + 1) / 2.0
         b = np.arange(3, grid.d2_max + 1) / 2.0
-        segments = probe._certified_segments(kappa, a, grid.d2_max, limit)
+        n_seg = -(-(grid.d2_max - 2) // probe._SEGMENT)
+        start = probe._segment_bound(kappa, a, probe._segment_ends(n_seg - 1 if kappa <= 1.0 else 0, grid.d2_max))
+        segments = probe._certified_segments(kappa, a, grid.d2_max, limit, start, n_seg)
         certified_to = probe._segment_ends(segments - 1, grid.d2_max)  # b = 1 when none
         taken = []
         block_bound = probe._block_bound
@@ -303,7 +307,7 @@ class TestGridInfimum:
             return block_bound(kappa, a_lo, a_hi, b_lo, b_hi)
 
         monkeypatch.setattr(probe, "_block_bound", recording)
-        live = probe._live_blocks(kappa, grid, limit)
+        live = probe._live_blocks(kappa, grid, limit, probe._seed(kappa, grid)[-1])
         assert len(taken) == {1.0: 0, 1.00005: 0, 1.001: 0, 1.005: 2}[kappa]
         for a_lo, a_hi, b_hi in taken:
             assert (a_hi <= a[-1]).all() and (b_hi <= b[-1]).all()
@@ -327,7 +331,7 @@ class TestGridInfimum:
         # every cell the pruning pass leaves out must lie strictly above it
         value = prob_leq_kappa_mean(FParams(min(d1_cell, d1_max), min(d2_cell, d2_max)), kappa)
         grid = GridSpec(d1_max, d2_max)
-        live = probe._live_blocks(kappa, grid, value + probe._PRUNE_MARGIN)
+        live = probe._live_blocks(kappa, grid, value + probe._PRUNE_MARGIN, probe._seed(kappa, grid)[-1])
         a = np.arange(1, d1_max + 1)[:, None] / 2.0
         b = np.arange(3, d2_max + 1)[None, :] / 2.0
         cells = reg_inc_beta(probe._threshold(kappa, a, b), a, b)
@@ -345,8 +349,9 @@ class TestGridInfimum:
         # limit as the scan forms it: a real cell's value plus the margin
         a = np.array([d1 / 2.0])
         limit = prob_leq_kappa_mean(FParams(d1, min(d2_cell, d2_max)), kappa) + probe._PRUNE_MARGIN
-        cut = int(probe._certified_segments(kappa, a, d2_max, limit)[0])
         n_seg = -(-(d2_max - 2) // probe._SEGMENT)
+        start = probe._segment_bound(kappa, a, probe._segment_ends(n_seg - 1 if kappa <= 1.0 else 0, d2_max))
+        cut = int(probe._certified_segments(kappa, a, d2_max, limit, start, n_seg)[0])
         bounds = probe._segment_bound(kappa, a, probe._segment_ends(np.arange(n_seg), d2_max))
         assert (bounds[:cut] > limit).all()
         if cut < n_seg:
@@ -567,13 +572,21 @@ class TestGridInfimum:
     def test_seed_column_moves_no_live_entry(self, kappa):
         # the slot saves a call either way: at kappa <= 1 it holds the
         # column, each row's last segment bound, and above 1 P_1 at each
-        # row's first segment end; the mask is the one the pass forms when
-        # it takes that bound in a call of its own
+        # row's first segment end; the mask is the one the pass forms from
+        # the same bounds taken in a _segment_bound call of their own
         grid = GridSpec(300, 400)
         *seed, column = probe._seed(kappa, grid)
         limit = seed[0] + probe._PRUNE_MARGIN
+        a = np.arange(1, grid.d1_max + 1) / 2.0
+        if kappa <= 1.0:
+            n_seg = -(-(grid.d2_max - 2) // probe._SEGMENT)
+            reference = probe._segment_bound(kappa, a, probe._segment_ends(n_seg - 1, grid.d2_max))
+        else:
+            lemma = a[(kappa - 1.0) ** 2 * a <= 1.0]
+            ends = np.array([probe._segment_ends(0, grid.d2_max), grid.d2_max / 2.0])
+            reference = probe._segment_bound(kappa, lemma[None, :], ends[:, None])
         with_column = probe._live_blocks(kappa, grid, limit, column)
-        assert (with_column == probe._live_blocks(kappa, grid, limit)).all()
+        assert (with_column == probe._live_blocks(kappa, grid, limit, reference)).all()
 
     @pytest.mark.parametrize("kappa", [1.25, 1.35, 1.45])
     def test_batched_increment_search_matches_full_grid(self, kappa):
@@ -672,9 +685,10 @@ class TestGridInfimum:
         for workers in (None, 2):
             res = grid_infimum(kappa, grid, workers=workers)
             assert (res.grid_min, res.argmin_d1, res.argmin_d2) == first_min(slice(None))
+        column = probe._seed(kappa, grid)[-1]
         for lo in range(0, grid.d1_max, 16):
             value, row, col = first_min(slice(lo, lo + 16))
-            live = probe._live_blocks(kappa, grid, value + probe._PRUNE_MARGIN)
+            live = probe._live_blocks(kappa, grid, value + probe._PRUNE_MARGIN, column)
             assert live[row - 1, (col - 3) // probe._RUN]
 
     @pytest.mark.parametrize("grid", [GridSpec(1, 3), GridSpec(17, 5), GridSpec(100, 67), GridSpec(300, 401)])
@@ -739,7 +753,10 @@ class TestGridInfimum:
         monkeypatch.setattr(probe, "_min_cell", lambda kappa, a, b: gathered.append((a, b)))
         b = np.arange(3, grid.d2_max + 1, dtype=np.int64) / 2.0
         limit = probe._seed(kappa, grid)[0] + probe._PRUNE_MARGIN
-        masks = [probe._live_blocks(kappa, grid, limit), rng.random((grid.d1_max, -(-b.size // probe._RUN))) < 0.1]
+        masks = [
+            probe._live_blocks(kappa, grid, limit, probe._seed(kappa, grid)[-1]),
+            rng.random((grid.d1_max, -(-b.size // probe._RUN))) < 0.1,
+        ]
         masks[1][::7, -1] = True
         for live in masks:
             for lo in range(0, grid.d1_max, probe._STRIPE_ROWS):
@@ -813,7 +830,7 @@ class TestGridInfimum:
         grid = GridSpec(1999, 1999)
         for kappa in (1.00005, 1.001, 1.005, 1.05):
             limit = probe._seed(kappa, grid)[0] + probe._PRUNE_MARGIN
-            probe._live_blocks(kappa, grid, limit)
+            probe._live_blocks(kappa, grid, limit, probe._seed(kappa, grid)[-1])
         with mpmath.workdps(40):
             for kappa, a, b in seen:
                 got = probe._increment(kappa, a, b)
@@ -851,7 +868,7 @@ class TestGridInfimum:
         for kappa, grid in [(0.5, GridSpec(509, 405)), (1.5, GridSpec(137, 1001)), (16.0, GridSpec(299, 399))]:
             taken.clear()
             limit = probe._seed(kappa, grid)[0] + probe._PRUNE_MARGIN
-            probe._live_blocks(kappa, grid, limit)
+            probe._live_blocks(kappa, grid, limit, probe._seed(kappa, grid)[-1])
             assert len(taken) == 2
             (a_lo, a_hi, b_lo, b_hi), strips = taken
             assert a_lo.size and ((2 * a_lo - 1) % 16 == 0).all() and ((2 * b_lo - 3) % 16 == 0).all()
@@ -958,7 +975,7 @@ class TestGridInfimum:
         # would; the pruning pass leaves that cell live
         grid = GridSpec(140, 40)
         limit = probe._seed(1.00005, grid)[0] + probe._PRUNE_MARGIN
-        assert probe._live_blocks(1.00005, grid, limit)[134, (12 - 3) // probe._RUN]
+        assert probe._live_blocks(1.00005, grid, limit, probe._seed(1.00005, grid)[-1])[134, (12 - 3) // probe._RUN]
         kernel = fdist.reg_inc_beta
 
         def fail_at_cell(x, a, b):
@@ -1223,6 +1240,8 @@ class TestLimitCurve:
             limit_curve_min(1.0, [0.5, 0.4])
         with pytest.raises(ValueError):
             limit_curve_min(1.0, [-1.0, 2.0])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            limit_curve_min(1.0, [[0.5, 1.0], [1.5, 2.0]])
 
     def test_default_a_grid_shape(self):
         g = default_a_grid()
@@ -1252,7 +1271,16 @@ class TestInfimum:
         assert res.exact_inf is None
         assert FLAG_CONJECTURE_REGIME in res.flags
 
-    @pytest.mark.parametrize("a_grid, message", [([], "nonempty"), ([0.5, 0.4], "strictly ascending")])
+    @pytest.mark.parametrize(
+        "a_grid, message",
+        [
+            ([], "nonempty"),
+            ([0.5, 0.4], "strictly ascending"),
+            ([[0.5, 1.0], [1.5, 2.0]], "one-dimensional"),
+            ([[1.0]], "one-dimensional"),
+            (3.0, "one-dimensional"),
+        ],
+    )
     def test_malformed_a_grid_rejected_before_the_scan(self, monkeypatch, a_grid, message):
         # the scan at full caps takes seconds at kappa = 0.5; the a_grid
         # checks that limit_curve_min makes run first

@@ -408,9 +408,9 @@ class TestRegLowerGamma:
         # slowest. Every value is the scalar loop's, hex for hex
         block, blocks = special._gamma_series_block, []
 
-        def recording(s, n, tol):
+        def recording(s, n, tol, above):
             blocks.append(s.h.size)
-            return block(s, n, tol)
+            return block(s, n, tol, above)
 
         monkeypatch.setattr(special, "_gamma_series_block", recording)
         a_grid = probe.default_a_grid()
@@ -429,6 +429,23 @@ class TestRegLowerGamma:
             blocks.clear()
             assert reg_lower_gamma(a, x).tobytes() == want.tobytes()
             assert blocks and max(blocks) <= special._SERIES_BLOCK
+
+    @pytest.mark.parametrize("kappa", PROBE_KAPPAS)
+    def test_series_stop_rule_keeps_every_value_it_must(self, kappa):
+        # the series stops an element once its partial value exceeds the
+        # level: at a level of 1 or more every value is reg_lower_gamma's
+        # after the clip, and below 1 every value at or below the level is,
+        # hex for hex, while every other one still returns above it
+        a = probe.default_a_grid()
+        full = reg_lower_gamma(a, kappa * a)
+        for above in (1.0, math.inf):
+            assert special._lower_gamma(a, kappa * a, above).tobytes() == full.tobytes()
+        level = float(np.median(full))
+        got = special._lower_gamma(a, kappa * a, level)
+        kept = full <= level
+        assert [v.hex() for v in got[kept]] == [v.hex() for v in full[kept]]
+        assert (got[~kept] > level).all()
+
     @pytest.mark.parametrize(
         "kappa, digest",
         [
